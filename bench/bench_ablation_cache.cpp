@@ -29,7 +29,7 @@ int main() {
         for (const double writes : {0.0, 0.01, 0.05, 0.10, 0.25}) {
             MicroParams params = base;
             params.write_fraction = writes;
-            params.adaptive_monitor = false;
+            params.host.troxy.monitor.adaptive = false;
             MicroResult result = run_micro(SystemKind::ETroxy, params);
             result.row.label =
                 "writes " + std::to_string(static_cast<int>(writes * 100)) +
@@ -49,8 +49,8 @@ int main() {
         for (const double threshold : {0.1, 0.3, 0.5, 0.7, 0.9}) {
             MicroParams params = base;
             params.write_fraction = 0.10;
-            params.adaptive_monitor = true;
-            params.monitor_threshold = threshold;
+            params.host.troxy.monitor.adaptive = true;
+            params.host.troxy.monitor.miss_threshold = threshold;
             MicroResult result = run_micro(SystemKind::ETroxy, params);
             result.row.label =
                 "threshold " +

@@ -29,9 +29,10 @@ int main() {
         troxy::sim::EnclaveCosts::sgx_v1().ecall_transition_ns;
     for (const double factor : {0.0, 0.5, 1.0, 2.0, 4.0}) {
         MicroParams swept = params;
-        swept.enclave_costs = troxy::sim::EnclaveCosts::sgx_v1();
-        swept.enclave_costs.ecall_transition_ns = calibrated * factor;
-        swept.enclave_costs.ocall_transition_ns = calibrated * factor;
+        auto& costs = swept.host.troxy.enclave_costs;
+        costs = troxy::sim::EnclaveCosts::sgx_v1();
+        costs.ecall_transition_ns = calibrated * factor;
+        costs.ocall_transition_ns = calibrated * factor;
         MicroResult result = run_micro(SystemKind::ETroxy, swept);
         result.row.label = "etroxy, transition x" + std::to_string(factor)
                                .substr(0, 3);
@@ -50,9 +51,10 @@ int main() {
         std::vector<Row> vote_rows;
         for (const std::size_t voter : {std::size_t{1}, std::size_t{16}}) {
             MicroParams swept = params;
-            swept.voter_batch_max = voter;
-            swept.coalesce_wire = voter > 1;
-            swept.coalesce_client_sends = voter > 1;
+            swept.host.voter_batch_max = voter;
+            swept.cluster.coalesce_wire = voter > 1;
+            swept.host.coalesce_wire = voter > 1;
+            swept.client.coalesce_sends = voter > 1;
             MicroResult result = run_micro(SystemKind::ETroxy, swept);
             result.row.label =
                 "etroxy, voter batch " + std::to_string(voter);
@@ -81,11 +83,12 @@ int main() {
             MicroParams swept = params;
             swept.read_workload = true;
             swept.reply_size = 1024;
-            swept.fastread_batch_max = read_batch;
-            swept.voter_batch_max = read_batch;
-            swept.batch_reply_auth = read_batch > 1;
-            swept.coalesce_wire = read_batch > 1;
-            swept.coalesce_client_sends = read_batch > 1;
+            swept.host.fastread_batch_max = read_batch;
+            swept.host.voter_batch_max = read_batch;
+            swept.host.batch_reply_auth = read_batch > 1;
+            swept.cluster.coalesce_wire = read_batch > 1;
+            swept.host.coalesce_wire = read_batch > 1;
+            swept.client.coalesce_sends = read_batch > 1;
             MicroResult result = run_micro(SystemKind::ETroxy, swept);
             result.row.label =
                 "etroxy, read batch " + std::to_string(read_batch);

@@ -247,8 +247,8 @@ int main(int argc, char** argv) {
             params.clients = clients > 0 ? clients : (smoke ? 16 : 128);
             params.pipeline = pipeline > 0 ? pipeline : (smoke ? 4 : 8);
             if (smoke) params.window = sim::milliseconds(400);
-            params.batch_size_max = batch;
-            params.batch_delay = delay_for(batch);
+            params.cluster.batch_size_max = batch;
+            params.cluster.batch_delay = delay_for(batch);
             emit(system_name(system), batch, run_micro(system, params).row,
                  rows, base_throughput);
         }
@@ -272,11 +272,12 @@ int main(int argc, char** argv) {
             params.request_size = 256;
             params.clients = clients > 0 ? clients : 128;
             params.pipeline = pipeline > 0 ? pipeline : 8;
-            params.batch_size_max = batch;
-            params.batch_delay = delay_for(batch);
-            params.voter_batch_max = batch;
-            params.coalesce_wire = batch > 1;
-            params.coalesce_client_sends = batch > 1;
+            params.cluster.batch_size_max = batch;
+            params.cluster.batch_delay = delay_for(batch);
+            params.host.voter_batch_max = batch;
+            params.cluster.coalesce_wire = batch > 1;
+            params.host.coalesce_wire = batch > 1;
+            params.client.coalesce_sends = batch > 1;
             emit(system_name(system) + "+vote", batch,
                  run_micro(system, params).row, rows, base_throughput);
         }

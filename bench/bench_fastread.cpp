@@ -104,20 +104,21 @@ int main(int argc, char** argv) {
                 params.clients = clients > 0 ? clients : 128;
                 params.pipeline = pipeline > 0 ? pipeline : 8;
                 if (smoke) params.window = sim::milliseconds(400);
-                params.batch_size_max = order;
+                params.cluster.batch_size_max = order;
                 // A short hold: ordered traffic is rare in a read
                 // workload (cache fills and fallbacks), and a long cut
                 // delay only inflates their latency — which gates the
                 // strict in-order release of the fast reads behind them.
-                params.batch_delay =
+                params.cluster.batch_delay =
                     order > 1 ? sim::microseconds(100) : sim::Duration{0};
                 // read_batch 1 is the seed flow: one wire message and one
                 // ecall per query/response/reply, nothing coalesced.
-                params.fastread_batch_max = read_batch;
-                params.voter_batch_max = read_batch;
-                params.batch_reply_auth = read_batch > 1;
-                params.coalesce_wire = read_batch > 1;
-                params.coalesce_client_sends = read_batch > 1;
+                params.host.fastread_batch_max = read_batch;
+                params.host.voter_batch_max = read_batch;
+                params.host.batch_reply_auth = read_batch > 1;
+                params.cluster.coalesce_wire = read_batch > 1;
+                params.host.coalesce_wire = read_batch > 1;
+                params.client.coalesce_sends = read_batch > 1;
 
                 MicroResult result = run_micro(system, params);
                 result.row.label = system_name(system) + " r=" +

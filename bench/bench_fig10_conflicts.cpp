@@ -35,7 +35,7 @@ int main() {
     base.pipeline = 8;
     // Real testbeds de-synchronize replicas (GC pauses, switch queueing);
     // the conflict phenomenon depends on it (see ClusterOptions).
-    base.lan_jitter = troxy::sim::microseconds(800);
+    base.cluster.lan_jitter = troxy::sim::microseconds(800);
 
     std::vector<Row> rows;
 
@@ -55,21 +55,21 @@ int main() {
 
     // Troxy reference: fast reads disabled.
     MicroParams troxy_ref = base;
-    troxy_ref.fast_reads = false;
+    troxy_ref.host.troxy.fast_reads = false;
     Row troxy_ref_row = run_micro(SystemKind::ETroxy, troxy_ref).row;
     troxy_ref_row.label = "Troxy reference (all ordered)";
     rows.push_back(troxy_ref_row);
 
     // Troxy fast reads without the adaptive monitor.
     MicroParams troxy_plain = base;
-    troxy_plain.adaptive_monitor = false;
+    troxy_plain.host.troxy.monitor.adaptive = false;
     MicroResult troxy_result = run_micro(SystemKind::ETroxy, troxy_plain);
     troxy_result.row.label = "Troxy fast-read cache";
     rows.push_back(troxy_result.row);
 
     // Optimized Troxy: miss-rate monitor may switch to total-order mode.
     MicroParams troxy_adaptive = base;
-    troxy_adaptive.adaptive_monitor = true;
+    troxy_adaptive.host.troxy.monitor.adaptive = true;
     MicroResult adaptive_result =
         run_micro(SystemKind::ETroxy, troxy_adaptive);
     adaptive_result.row.label = "Troxy optimized (adaptive)";

@@ -24,7 +24,9 @@ int main() {
         MicroParams params;
         params.read_workload = false;
         params.request_size = size;
-        params.wan = true;
+        params.cluster.wan_clients = true;
+        // Fast-read liveness backstop above WAN round trips.
+        params.host.fast_read_timeout = troxy::sim::milliseconds(500);
         params.clients = 100;
         params.pipeline = 96;
         params.warmup = troxy::sim::milliseconds(1000);

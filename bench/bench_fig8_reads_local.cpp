@@ -42,11 +42,12 @@ int main() {
             // Batched read pipeline: cache-query bursts, batched response
             // application, batched reply certification, coalesced records.
             MicroParams batched = params;
-            batched.fastread_batch_max = 16;
-            batched.voter_batch_max = 16;
-            batched.batch_reply_auth = true;
-            batched.coalesce_wire = true;
-            batched.coalesce_client_sends = true;
+            batched.host.fastread_batch_max = 16;
+            batched.host.voter_batch_max = 16;
+            batched.host.batch_reply_auth = true;
+            batched.cluster.coalesce_wire = true;
+            batched.host.coalesce_wire = true;
+            batched.client.coalesce_sends = true;
             MicroResult result = run_micro(SystemKind::ETroxy, batched);
             result.row.label = "etroxy r=16";
             results.push_back(std::move(result));

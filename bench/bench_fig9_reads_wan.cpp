@@ -27,7 +27,9 @@ int main() {
         params.write_fraction = 0.0;
         params.reply_size = reply;
         params.baseline_optimistic_reads = true;
-        params.wan = true;
+        params.cluster.wan_clients = true;
+        // Fast-read liveness backstop above WAN round trips.
+        params.host.fast_read_timeout = troxy::sim::milliseconds(500);
         params.clients = 100;
         params.pipeline = 320;
         params.warmup = troxy::sim::milliseconds(1000);
@@ -42,11 +44,12 @@ int main() {
             // Batched read pipeline on top of the WAN win: server-side
             // ecall amortization is orthogonal to the downlink savings.
             MicroParams batched = params;
-            batched.fastread_batch_max = 16;
-            batched.voter_batch_max = 16;
-            batched.batch_reply_auth = true;
-            batched.coalesce_wire = true;
-            batched.coalesce_client_sends = true;
+            batched.host.fastread_batch_max = 16;
+            batched.host.voter_batch_max = 16;
+            batched.host.batch_reply_auth = true;
+            batched.cluster.coalesce_wire = true;
+            batched.host.coalesce_wire = true;
+            batched.client.coalesce_sends = true;
             MicroResult result = run_micro(SystemKind::ETroxy, batched);
             result.row.label = "etroxy r=16";
             rows.push_back(result.row);

@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
 
     // ------------------------------------------------- rolling chaos
     ChaosOptions chaos;
-    chaos.seed = 44;
+    chaos.cluster.seed = 44;
     chaos.clients = 3;
     chaos.requests_per_client = smoke ? 40 : 100;
     chaos.write_fraction = 0.3;  // read-heavy, like the paper's fast path
@@ -312,11 +312,11 @@ int main(int argc, char** argv) {
     // Long enough between recoveries for the wiped caches to re-warm and
     // the fast path to re-enable; every enclave still recovers at least
     // twice inside the horizon.
-    chaos.enclave_recovery_period = sim::seconds(10);
+    chaos.host.enclave_recovery_period = sim::seconds(10);
     chaos.fault_start = sim::seconds(1);
     chaos.heal_by = smoke ? sim::seconds(7) : sim::seconds(13);
     chaos.horizon = smoke ? sim::seconds(30) : sim::seconds(60);
-    chaos.state_chunk_size = 64;
+    chaos.cluster.state_chunk_size = 64;
     chaos.fastread_hitrate_floor = 0.02;
     const ChaosReport report = run_chaos(chaos);
     std::printf(

@@ -96,14 +96,15 @@ int main(int argc, char** argv) {
                 params.clients = clients > 0 ? clients : 128;
                 params.pipeline = pipeline > 0 ? pipeline : 8;
                 if (smoke) params.window = sim::milliseconds(400);
-                params.batch_size_max = order;
-                params.batch_delay =
+                params.cluster.batch_size_max = order;
+                params.cluster.batch_delay =
                     order > 1 ? sim::microseconds(500) : sim::Duration{0};
                 // voter_batch 1 is the seed flow: per-reply ecalls, one
                 // record per message, nothing coalesced.
-                params.voter_batch_max = voter;
-                params.coalesce_wire = voter > 1;
-                params.coalesce_client_sends = voter > 1;
+                params.host.voter_batch_max = voter;
+                params.cluster.coalesce_wire = voter > 1;
+                params.host.coalesce_wire = voter > 1;
+                params.client.coalesce_sends = voter > 1;
 
                 MicroResult result = run_micro(system, params);
                 result.row.label = system_name(system) + " v=" +

@@ -33,6 +33,15 @@ struct PendingOp {
     std::uint64_t floor = 0;   // committed[key] at invocation
 };
 
+/// hits / (hits + misses + conflicts), 0 without any fast read.
+double hit_rate(std::uint64_t hits, std::uint64_t misses,
+                std::uint64_t conflicts) {
+    const std::uint64_t reads = hits + misses + conflicts;
+    return reads == 0 ? 0.0
+                      : static_cast<double>(hits) /
+                            static_cast<double>(reads);
+}
+
 struct ClientDriver {
     troxy_core::LegacyClient* client = nullptr;
     Rng rng{0};
@@ -46,94 +55,26 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     ChaosReport report;
 
     TroxyCluster::Params params;
-    params.base.seed = options.seed;
-    params.base.scheduler = options.scheduler;
-    params.base.checkpoint_interval = options.checkpoint_interval;
-    params.base.batch_size_max = options.batch_size_max;
-    params.base.batch_delay = options.batch_delay;
-    params.base.coalesce_wire = options.coalesce_wire;
-    params.base.wire_zero_copy = options.wire_zero_copy;
-    params.base.transport = options.transport;
-    params.host.voter_batch_max = options.voter_batch_max;
-    params.host.coalesce_wire = options.coalesce_wire;
-    params.host.fastread_batch_max = options.fastread_batch_max;
-    params.host.batch_reply_auth = options.batch_reply_auth;
-    params.base.execution_lanes = options.execution_lanes;
-    params.base.state_chunk_size = options.state_chunk_size;
-    params.base.state_chunks_per_message = options.state_chunks_per_message;
-    params.base.state_transfer_retry = options.state_transfer_retry;
-    params.host.enclave_recovery_period = options.enclave_recovery_period;
+    params.base = options.cluster;
+    params.host = options.host;
+    params.client = options.front.upstream;
+    params.front = options.front;
     params.service = []() { return std::make_unique<EchoService>(); };
     params.classifier = [](ByteView request) {
         return EchoService().classify(request);
     };
-    // Fast recovery timeouts so crash/partition windows of a few seconds
-    // are survivable well inside the horizon.
-    params.host.vote_timeout = sim::milliseconds(300);
-    params.host.fast_read_timeout = sim::milliseconds(30);
-    params.client.connection_timeout = sim::milliseconds(500);
-    params.client.backoff_cap = sim::milliseconds(2000);
-
-    // Build the deployment: the classic unsharded TroxyCluster (the
-    // pre-shard chaos path, bit-identical replay) or a sharded one driven
-    // through the routing front. Everything below speaks through the
-    // adapter handles so both paths share one workload and checker.
-    std::unique_ptr<TroxyCluster> flat;
-    std::unique_ptr<ShardedTroxyCluster> sharded;
-    ClusterBase* base = nullptr;
-    int hosts_per_shard = 0;
-    int total_hosts = 0;
-    const hybster::Config* config0 = nullptr;
-
-    if (options.shards <= 1) {
-        flat = std::make_unique<TroxyCluster>(params);
-        base = flat.get();
-        hosts_per_shard = flat->n();
-        total_hosts = flat->n();
-        config0 = &flat->config();
-    } else {
-        ShardedTroxyCluster::Params sparams;
-        sparams.base = params.base;
-        sparams.base.shard_count = options.shards;
-        sparams.base.front_count = options.fronts;
-        sparams.service = params.service;
-        sparams.classifier = params.classifier;
-        sparams.host = params.host;
-        sparams.client = params.client;
-        sparams.front.upstream = params.client;
-        sparams.front.cross_pipeline_depth = options.cross_pipeline_depth;
+    if (options.cluster.shard_count > 1) {
         std::vector<std::string> universe;
         for (int k = 0; k < std::max(options.keys, 1); ++k) {
             universe.push_back("k" + std::to_string(k));
         }
-        sparams.map = troxy_core::ShardMap::split_evenly(
-            std::move(universe), options.shards);
-        sharded = std::make_unique<ShardedTroxyCluster>(std::move(sparams));
-        base = sharded.get();
-        hosts_per_shard = 2 * sharded->options().f + 1;
-        total_hosts = hosts_per_shard * sharded->shards();
-        config0 = &sharded->config(0);
+        params.map = troxy_core::ShardMap::split_evenly(
+            std::move(universe), options.cluster.shard_count);
     }
-
-    auto host_at = [&](int h) -> troxy_core::TroxyReplicaHost& {
-        if (flat) return flat->host(h);
-        return sharded->host(h / hosts_per_shard, h % hosts_per_shard);
-    };
-    auto crash_at = [&](int h) {
-        if (flat) {
-            flat->crash_host(h);
-        } else {
-            sharded->crash_host(h / hosts_per_shard, h % hosts_per_shard);
-        }
-    };
-    auto restart_at = [&](int h) {
-        if (flat) {
-            flat->restart_host(h);
-        } else {
-            sharded->restart_host(h / hosts_per_shard,
-                                  h % hosts_per_shard);
-        }
-    };
+    // Throws std::invalid_argument on inconsistent shard or front counts.
+    TroxyCluster cluster(std::move(params));
+    const int n = cluster.n();
+    const int total_hosts = n * cluster.shards();
 
     // Fault schedule: explicit plan, a rolling restart, or a seeded
     // random one.
@@ -143,14 +84,13 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         // evenly spread across the fault window. The downtime is clamped
         // below the per-host gap so at most one replica (≤ f, in any
         // shard) is ever down, keeping the run live throughout.
-        const int n = total_hosts;
         const sim::Duration gap =
             (options.heal_by - options.fault_start) /
-            static_cast<sim::Duration>(n);
+            static_cast<sim::Duration>(total_hosts);
         const sim::Duration down =
             std::min<sim::Duration>(options.rolling_downtime,
                                     gap > 1 ? gap - 1 : 1);
-        for (int i = 0; i < n; ++i) {
+        for (int i = 0; i < total_hosts; ++i) {
             const sim::SimTime at =
                 options.fault_start +
                 gap * static_cast<sim::Duration>(i);
@@ -159,20 +99,16 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         }
     }
     if (plan.empty()) {
-        Rng plan_rng = Rng(options.seed).fork(0x63686173);
+        Rng plan_rng = Rng(options.cluster.seed).fork(0x63686173);
         sim::FaultPlan::RandomOptions random;
         random.start = options.fault_start;
         random.heal_by = options.heal_by;
         random.hosts = total_hosts;
-        random.max_concurrent_crashes = config0->f;
-        if (flat) {
-            random.nodes = config0->replicas;
-        } else {
-            for (int s = 0; s < sharded->shards(); ++s) {
-                const auto& replicas = sharded->config(s).replicas;
-                random.nodes.insert(random.nodes.end(), replicas.begin(),
-                                    replicas.end());
-            }
+        random.max_concurrent_crashes = cluster.config().f;
+        for (int s = 0; s < cluster.shards(); ++s) {
+            const auto& replicas = cluster.config(s).replicas;
+            random.nodes.insert(random.nodes.end(), replicas.begin(),
+                                replicas.end());
         }
         random.crash_events = options.crash_events;
         random.partition_events = options.partition_events;
@@ -182,28 +118,30 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         plan = sim::FaultPlan::random(plan_rng, random);
     }
     report.plan_trace = plan.describe();
-    plan.schedule(base->simulator(), base->network(),
-                  [&crash_at](int host) { crash_at(host); },
-                  [&restart_at](int host) { restart_at(host); });
+    // Plan host h is replica h % n of shard h / n.
+    plan.schedule(
+        cluster.simulator(), cluster.network(),
+        [&cluster, n](int h) { cluster.crash_host(h / n, h % n); },
+        [&cluster, n](int h) { cluster.restart_host(h / n, h % n); });
 
     // Front-tier fault injection rides alongside the replica plan.
-    if (sharded && options.front_crash >= 0 &&
-        options.front_crash < sharded->front_count()) {
+    if (options.front_crash >= 0 &&
+        options.front_crash < cluster.front_count()) {
         const int victim = options.front_crash;
-        base->simulator().after(options.front_crash_at, [&, victim]() {
-            sharded->crash_front(victim);
+        cluster.simulator().after(options.front_crash_at, [&, victim]() {
+            cluster.crash_front(victim);
         });
         if (options.front_restart_at > options.front_crash_at) {
-            base->simulator().after(options.front_restart_at,
-                                    [&, victim]() {
-                                        sharded->restart_front(victim);
-                                    });
+            cluster.simulator().after(options.front_restart_at,
+                                      [&, victim]() {
+                                          cluster.restart_front(victim);
+                                      });
         }
     }
 
     // Closed-loop workload: each client keeps one request in flight.
     Checker checker;
-    Rng workload_rng = Rng(options.seed).fork(0x776f726b);
+    Rng workload_rng = Rng(options.cluster.seed).fork(0x776f726b);
     std::vector<std::unique_ptr<ClientDriver>> drivers;
     report.issued = static_cast<std::uint64_t>(options.clients) *
                     static_cast<std::uint64_t>(options.requests_per_client);
@@ -297,8 +235,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
                 static_cast<sim::Duration>(driver->rng.next_exponential(
                     static_cast<double>(options.think_time))),
                 1);
-            base->simulator().after(think,
-                                    [&issue, driver]() { issue(driver); });
+            cluster.simulator().after(think,
+                                      [&issue, driver]() { issue(driver); });
         });
     };
 
@@ -306,8 +244,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         auto driver = std::make_unique<ClientDriver>();
         driver->rng = workload_rng.fork(static_cast<std::uint64_t>(c) + 1);
         driver->remaining = options.requests_per_client;
-        driver->client = flat ? &flat->add_client(c % flat->n())
-                              : &sharded->add_client();
+        driver->client = &cluster.add_client();
         drivers.push_back(std::move(driver));
     }
     for (auto& driver : drivers) {
@@ -315,24 +252,23 @@ ChaosReport run_chaos(const ChaosOptions& options) {
         raw->client->start([&issue, raw]() { issue(raw); });
     }
 
-    base->simulator().run_until(options.horizon);
+    cluster.simulator().run_until(options.horizon);
 
     // Convergence: after the drain window a quorum must agree on one
     // service state at the highest executed sequence number — per
     // replica group, since each shard orders its own log.
-    const int shard_count = flat ? 1 : sharded->shards();
-    for (int s = 0; s < shard_count; ++s) {
+    const int quorum = cluster.config().quorum();
+    for (int s = 0; s < cluster.shards(); ++s) {
         hybster::SequenceNumber max_executed = 0;
-        for (int i = 0; i < hosts_per_shard; ++i) {
+        for (int i = 0; i < n; ++i) {
             max_executed = std::max(
-                max_executed,
-                host_at(s * hosts_per_shard + i).replica().last_executed());
+                max_executed, cluster.host(s, i).replica().last_executed());
         }
         int at_tip = 0;
         Bytes tip_state;
         bool tip_diverged = false;
-        for (int i = 0; i < hosts_per_shard; ++i) {
-            auto& replica = host_at(s * hosts_per_shard + i).replica();
+        for (int i = 0; i < n; ++i) {
+            auto& replica = cluster.host(s, i).replica();
             if (replica.last_executed() != max_executed) continue;
             const Bytes state = replica.service().checkpoint();
             if (at_tip == 0) {
@@ -343,14 +279,14 @@ ChaosReport run_chaos(const ChaosOptions& options) {
             ++at_tip;
         }
         const std::string where =
-            shard_count == 1 ? "" : " in shard " + std::to_string(s);
-        if (at_tip < config0->quorum()) {
+            cluster.shards() == 1 ? "" : " in shard " + std::to_string(s);
+        if (at_tip < quorum) {
             ++report.violations;
             report.errors.push_back(
                 "only " + std::to_string(at_tip) +
                 " replicas reached sequence " +
                 std::to_string(max_executed) + where + " (quorum is " +
-                std::to_string(config0->quorum()) + ")");
+                std::to_string(quorum) + ")");
         }
         if (tip_diverged) {
             ++report.violations;
@@ -363,31 +299,41 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     for (auto& driver : drivers) {
         report.failovers += driver->client->failovers();
     }
-    for (int i = 0; i < total_hosts; ++i) {
-        auto& host = host_at(i);
-        report.view_changes =
-            std::max(report.view_changes, host.replica().view_changes());
-        report.state_transfers += host.replica().state_transfers();
-        report.restarts += host.restarts();
-        const auto status = host.status();
-        report.enclave_recoveries += status.enclave_recoveries;
-        report.fast_read_hits += status.troxy.fast_read_hits;
-        report.fast_read_misses += status.troxy.fast_read_misses;
-        report.fast_read_conflicts += status.troxy.fast_read_conflicts;
-        report.st_bytes_sent += status.state.bytes_sent;
-        report.st_bytes_full += status.state.bytes_full;
-        report.st_chunks_sent += status.state.chunks_sent;
-        report.st_chunks_skipped += status.state.chunks_skipped;
-        report.st_chunks_reused += status.state.chunks_reused;
-        report.st_transfers_resumed += status.state.transfers_resumed;
+    // Per-host counters, summed over the fleet and per shard.
+    for (int s = 0; s < cluster.shards(); ++s) {
+        ShardChaosReport shard;
+        for (int i = 0; i < n; ++i) {
+            auto& host = cluster.host(s, i);
+            const auto status = host.status();
+            report.view_changes =
+                std::max(report.view_changes, host.replica().view_changes());
+            report.state_transfers += host.replica().state_transfers();
+            report.restarts += host.restarts();
+            report.enclave_recoveries += status.enclave_recoveries;
+            report.st_bytes_sent += status.state.bytes_sent;
+            report.st_bytes_full += status.state.bytes_full;
+            report.st_chunks_sent += status.state.chunks_sent;
+            report.st_chunks_skipped += status.state.chunks_skipped;
+            report.st_chunks_reused += status.state.chunks_reused;
+            report.st_transfers_resumed += status.state.transfers_resumed;
+            shard.fast_read_hits += status.troxy.fast_read_hits;
+            shard.fast_read_misses += status.troxy.fast_read_misses;
+            shard.fast_read_conflicts += status.troxy.fast_read_conflicts;
+            shard.view_changes = std::max(shard.view_changes,
+                                          host.replica().view_changes());
+            shard.state_transfers += host.replica().state_transfers();
+        }
+        report.fast_read_hits += shard.fast_read_hits;
+        report.fast_read_misses += shard.fast_read_misses;
+        report.fast_read_conflicts += shard.fast_read_conflicts;
+        shard.fast_read_hit_rate =
+            hit_rate(shard.fast_read_hits, shard.fast_read_misses,
+                     shard.fast_read_conflicts);
+        report.shards.push_back(shard);
     }
-    const std::uint64_t fast_reads = report.fast_read_hits +
-                                     report.fast_read_misses +
-                                     report.fast_read_conflicts;
     report.fast_read_hit_rate =
-        fast_reads == 0 ? 0.0
-                        : static_cast<double>(report.fast_read_hits) /
-                              static_cast<double>(fast_reads);
+        hit_rate(report.fast_read_hits, report.fast_read_misses,
+                 report.fast_read_conflicts);
     if (options.fastread_hitrate_floor > 0.0 &&
         report.fast_read_hit_rate < options.fastread_hitrate_floor) {
         ++report.violations;
@@ -398,88 +344,60 @@ ChaosReport run_chaos(const ChaosOptions& options) {
             std::to_string(options.fastread_hitrate_floor));
     }
 
-    if (sharded) {
-        // Aggregate over the front tier: counters sum (fronts are
-        // independent), peaks take the max, latency percentiles merge
-        // every front's raw samples.
-        std::vector<troxy_core::ShardFrontHost::Status> front_statuses;
-        std::vector<sim::Duration> merged_latencies;
-        report.front_count = sharded->front_count();
-        for (int f = 0; f < sharded->front_count(); ++f) {
-            auto& front = sharded->front(f);
-            front_statuses.push_back(front.status());
-            const auto& status = front_statuses.back();
-            report.cross_shard_commits += status.cross_shard_commits;
-            report.front_requests += status.requests;
-            report.front_released += status.released;
-            report.front_failovers += status.upstream_failovers;
-            report.router_fanout = status.router_fanout;
-            report.front_restarts += front.restarts();
-            report.cross_lock_waits += status.cross_lock_waits;
-            report.cross_inflight_peak = std::max(
-                report.cross_inflight_peak, status.cross_inflight_peak);
-            merged_latencies.insert(merged_latencies.end(),
-                                    front.cross_latencies().begin(),
-                                    front.cross_latencies().end());
-        }
-        if (!merged_latencies.empty()) {
-            std::sort(merged_latencies.begin(), merged_latencies.end());
-            auto at = [&](double p) {
-                const double rank =
-                    p * static_cast<double>(merged_latencies.size() - 1);
-                const auto index = std::min(
-                    static_cast<std::size_t>(rank + 0.5),
-                    merged_latencies.size() - 1);
-                return sim::to_millis(merged_latencies[index]);
-            };
-            report.cross_p50_ms = at(0.50);
-            report.cross_p99_ms = at(0.99);
-        }
-        for (int s = 0; s < shard_count; ++s) {
-            ShardChaosReport shard;
-            for (const auto& status : front_statuses) {
-                const auto& front_shard =
-                    status.shards[static_cast<std::size_t>(s)];
-                shard.forwarded += front_shard.forwarded;
-                shard.replies += front_shard.replies;
-                shard.reads += front_shard.reads;
-                shard.writes += front_shard.writes;
-                shard.cross_participations +=
-                    front_shard.cross_participations;
-            }
-            for (int i = 0; i < hosts_per_shard; ++i) {
-                auto& host = host_at(s * hosts_per_shard + i);
-                const auto status = host.status();
-                shard.fast_read_hits += status.troxy.fast_read_hits;
-                shard.fast_read_misses += status.troxy.fast_read_misses;
-                shard.fast_read_conflicts +=
-                    status.troxy.fast_read_conflicts;
-                shard.view_changes = std::max(
-                    shard.view_changes, host.replica().view_changes());
-                shard.state_transfers += host.replica().state_transfers();
-            }
-            const std::uint64_t shard_reads = shard.fast_read_hits +
-                                              shard.fast_read_misses +
-                                              shard.fast_read_conflicts;
-            shard.fast_read_hit_rate =
-                shard_reads == 0
-                    ? 0.0
-                    : static_cast<double>(shard.fast_read_hits) /
-                          static_cast<double>(shard_reads);
-            report.shards.push_back(shard);
+    // Aggregate over the front tier (none in an unsharded run): counters
+    // sum (fronts are independent), peaks take the max, latency
+    // percentiles merge every front's raw samples.
+    std::vector<sim::Duration> merged_latencies;
+    report.front_count = cluster.front_count();
+    for (int f = 0; f < cluster.front_count(); ++f) {
+        auto& front = cluster.front(f);
+        const auto status = front.status();
+        report.cross_shard_commits += status.cross_shard_commits;
+        report.front_requests += status.requests;
+        report.front_released += status.released;
+        report.front_failovers += status.upstream_failovers;
+        report.router_fanout = status.router_fanout;
+        report.front_restarts += front.restarts();
+        report.cross_lock_waits += status.cross_lock_waits;
+        report.cross_inflight_peak = std::max(report.cross_inflight_peak,
+                                              status.cross_inflight_peak);
+        merged_latencies.insert(merged_latencies.end(),
+                                front.cross_latencies().begin(),
+                                front.cross_latencies().end());
+        for (std::size_t s = 0; s < report.shards.size(); ++s) {
+            const auto& front_shard = status.shards[s];
+            ShardChaosReport& shard = report.shards[s];
+            shard.forwarded += front_shard.forwarded;
+            shard.replies += front_shard.replies;
+            shard.reads += front_shard.reads;
+            shard.writes += front_shard.writes;
+            shard.cross_participations += front_shard.cross_participations;
         }
     }
+    if (!merged_latencies.empty()) {
+        std::sort(merged_latencies.begin(), merged_latencies.end());
+        auto at = [&](double p) {
+            const double rank =
+                p * static_cast<double>(merged_latencies.size() - 1);
+            const auto index =
+                std::min(static_cast<std::size_t>(rank + 0.5),
+                         merged_latencies.size() - 1);
+            return sim::to_millis(merged_latencies[index]);
+        };
+        report.cross_p50_ms = at(0.50);
+        report.cross_p99_ms = at(0.99);
+    }
 
-    report.messages_sent = base->network().messages_sent();
-    report.bytes_sent = base->network().bytes_sent();
-    report.drops = base->network().drops();
-    report.pool = base->network().pool().stats();
+    report.messages_sent = cluster.network().messages_sent();
+    report.bytes_sent = cluster.network().bytes_sent();
+    report.drops = cluster.network().drops();
+    report.pool = cluster.network().pool().stats();
     const std::uint64_t pool_lookups = report.pool.hits + report.pool.misses;
     report.pool_hit_rate =
         pool_lookups == 0 ? 0.0
                           : static_cast<double>(report.pool.hits) /
                                 static_cast<double>(pool_lookups);
-    report.wire = base->network().wire_stats();
+    report.wire = cluster.network().wire_stats();
     return report;
 }
 

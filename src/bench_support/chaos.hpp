@@ -1,10 +1,10 @@
 // Chaos harness: seeded random fault schedules against a Troxy cluster
 // with safety and liveness checking.
 //
-// One run builds a TroxyCluster over the EchoService, drives a closed-loop
-// workload from several legacy clients, executes a FaultPlan (explicit or
-// generated from the seed: host crash/restart, partitions, link flaps,
-// loss windows) and checks two invariants:
+// One run builds a TroxyCluster (S >= 1 shards) over the EchoService,
+// drives a closed-loop workload from several legacy clients, executes a
+// FaultPlan (explicit or generated from the seed: host crash/restart,
+// partitions, link flaps, loss windows) and checks two invariants:
 //
 //   Safety   — every voted reply is consistent with a linearizable history
 //              of the echo service. EchoService makes this checkable
@@ -19,16 +19,15 @@
 //              the horizon and a quorum of replicas converges to an
 //              identical service state.
 //
-// Everything derives from ChaosOptions::seed: the same seed replays the
-// same fault schedule, the same message interleaving and the same
-// network counters, bit for bit.
+// Everything derives from ChaosOptions::cluster.seed: the same seed
+// replays the same fault schedule, the same message interleaving and the
+// same network counters, bit for bit.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "hybster/config.hpp"
-#include "sim/cost.hpp"
+#include "bench_support/cluster.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/network.hpp"
 #include "sim/pool.hpp"
@@ -38,12 +37,28 @@
 namespace troxy::bench {
 
 struct ChaosOptions {
-    std::uint64_t seed = 1;
-    /// Scheduler engine under test (ClusterOptions::scheduler). The A/B
-    /// determinism test runs the same seed under both engines and demands
-    /// identical verdicts, traces and counters.
-    sim::Simulator::Scheduler scheduler =
-        sim::Simulator::Scheduler::Calendar;
+    /// The deployment: TroxyCluster knobs, shard_count and front_count
+    /// included. cluster.seed also seeds the workload and the random
+    /// fault plan, so everything replays from it; cluster.scheduler picks
+    /// the engine (the A/B determinism test runs one seed under both
+    /// and demands identical verdicts, traces and counters). A small
+    /// checkpoint interval makes short runs exercise state transfer.
+    /// Sharded runs split the workload's "k<i>" key universe evenly and
+    /// drive everything through the routing fronts.
+    ClusterOptions cluster{.checkpoint_interval = 8};
+    /// Per-host knobs. Note that wire coalescing is declared twice: the
+    /// replicas' cluster.coalesce_wire and the hosts' host.coalesce_wire.
+    /// Fast recovery timeouts keep crash/partition windows of a few
+    /// seconds survivable well inside the horizon.
+    troxy_core::TroxyReplicaHost::Options host{
+        .vote_timeout = sim::milliseconds(300),
+        .fast_read_timeout = sim::milliseconds(30)};
+    /// Front knobs (sharded runs). front.upstream is also the session
+    /// options of the workload's own legacy clients, so both hops fail
+    /// over on the same short timeouts.
+    troxy_core::ShardFrontHost::Options front{
+        .upstream = {.connection_timeout = sim::milliseconds(500),
+                     .backoff_cap = sim::milliseconds(2000)}};
 
     // Workload.
     int clients = 3;
@@ -56,49 +71,9 @@ struct ChaosOptions {
     /// instead of draining before the first fault fires.
     sim::Duration think_time = sim::milliseconds(150);
 
-    // Cluster. A small checkpoint interval makes state transfer exercised
-    // by short runs.
-    hybster::SequenceNumber checkpoint_interval = 8;
-    /// Ordering batch knobs (see hybster::Config). Defaults keep chaos
-    /// runs on the unbatched flow; batching scenarios opt in.
-    std::size_t batch_size_max = 1;
-    sim::Duration batch_delay = 0;
-    /// Voter batching and wire coalescing (TroxyReplicaHost::Options /
-    /// ClusterOptions::coalesce_wire); defaults reproduce the per-reply
-    /// ecall, per-message record flow.
-    std::size_t voter_batch_max = 1;
-    bool coalesce_wire = false;
-    /// Ship coalesced bursts as scatter-gather fragment chains
-    /// (ClusterOptions::wire_zero_copy); the default keeps the flattened
-    /// Bundle flow. Only meaningful with coalesce_wire.
-    bool wire_zero_copy = false;
-    /// Transport send-cost profile (ClusterOptions::transport); none()
-    /// keeps the seed's free-transport model. A bypass profile also arms
-    /// the network's per-peer credit window under the fault schedule.
-    sim::TransportProfile transport = sim::TransportProfile::none();
-    /// Fast-read query batching and batched reply certification
-    /// (TroxyReplicaHost::Options); defaults keep the per-query,
-    /// per-reply ecall flow.
-    std::size_t fastread_batch_max = 1;
-    bool batch_reply_auth = false;
-    /// Modeled execution lanes per replica (hybster::Config); the default
-    /// keeps chaos runs on the serial execution flow.
-    std::size_t execution_lanes = 1;
-    /// Merkle-incremental state-transfer knobs: chunk granularity and the
-    /// retry that resumes half-finished transfers. Independently
-    /// schedulable from checkpoint_interval so recovery scenarios can
-    /// tune checkpoint cadence and transfer granularity separately.
-    std::size_t state_chunk_size = 4096;
-    std::size_t state_chunks_per_message = 64;
-    sim::Duration state_transfer_retry = sim::milliseconds(250);
-    /// Proactive enclave recovery period (TroxyReplicaHost::Options);
-    /// 0 disables the schedule. The cluster staggers the fleet so one
-    /// enclave recovers at a time.
-    sim::Duration enclave_recovery_period = 0;
-
     // Rolling-restart mode: instead of a random plan, crash and restart
     // every host in sequence inside [fault_start, heal_by] — a rolling
-    // upgrade under load. Combine with enclave_recovery_period to also
+    // upgrade under load. Combine with host.enclave_recovery_period to also
     // recover every enclave during the run.
     bool rolling_restart = false;
     /// How long each host stays down during its rolling slot (must stay
@@ -110,27 +85,12 @@ struct ChaosOptions {
     /// check. Counts a violation, not an assert, when breached.
     double fastread_hitrate_floor = 0.0;
 
-    /// Shard count: 1 runs the classic unsharded TroxyCluster path
-    /// (bit-identical to pre-shard chaos runs); >1 builds a
-    /// ShardedTroxyCluster whose key-range map splits the workload's
-    /// "k<i>" key universe evenly and drives everything through the
-    /// routing front.
-    int shards = 1;
     /// Fraction of writes issued as two-key multiwrites (EchoService
     /// op 2) whose partner key usually lives on another shard, forcing
     /// the front's ordered cross-shard commit lane. 0 keeps the
     /// workload's rng stream untouched so unsharded seeds replay
     /// bit-identically.
     double cross_shard_fraction = 0.0;
-    /// Routing fronts over the sharded deployment
-    /// (ClusterOptions::front_count); clients hash across them. Only
-    /// meaningful with shards > 1.
-    int fronts = 1;
-    /// Cross-shard commits allowed in flight per front
-    /// (ShardFrontHost::Options::cross_pipeline_depth): 0 = unbounded
-    /// pipelining through the per-key lock table, 1 = the serialized
-    /// single-commit lane.
-    std::size_t cross_pipeline_depth = 0;
     /// Front-tier fault injection: crash front index `front_crash` at
     /// `front_crash_at` and restart it at `front_restart_at` (0 = never).
     /// front_crash < 0 disables. A front crash mid cross-shard commit
@@ -156,8 +116,9 @@ struct ChaosOptions {
     double max_loss = 0.3;
 };
 
-/// Per-shard observability for sharded chaos runs: the front's routing
-/// counters merged with the shard's replica-group recovery counters.
+/// Per-shard observability: the fronts' routing counters for the shard
+/// (zero in an unsharded run, which has no front) merged with the
+/// shard's replica-group counters.
 struct ShardChaosReport {
     std::uint64_t forwarded = 0;  // requests the front routed here
     std::uint64_t replies = 0;    // shard-local replies released
@@ -187,7 +148,8 @@ struct ChaosReport {
     std::uint64_t bytes_sent = 0;
     sim::DropCounters drops;
     /// Wire-path observability: payload-buffer pool hit rate and the
-    /// scatter-gather counters (zero when wire_zero_copy is off).
+    /// scatter-gather counters (zero when cluster.wire_zero_copy is
+    /// off).
     sim::BufferPool::Stats pool;
     double pool_hit_rate = 0.0;  // hits / (hits + misses)
     sim::WireStats wire;
@@ -206,8 +168,8 @@ struct ChaosReport {
     std::uint64_t st_chunks_reused = 0;   // verified from the local store
     std::uint64_t st_transfers_resumed = 0;
 
-    // Sharded-run observability (empty/zero in unsharded runs; counters
-    // are sums over the front tier unless noted).
+    // Front-tier observability (zero in unsharded runs, which have no
+    // front; counters are sums over the front tier unless noted).
     std::uint64_t cross_shard_commits = 0;  // completed two-shard commits
     std::uint64_t multiwrites_issued = 0;   // two-key ops the workload sent
     std::uint64_t front_requests = 0;       // classified + routed
@@ -223,6 +185,7 @@ struct ChaosReport {
     std::uint64_t cross_inflight_peak = 0;
     double cross_p50_ms = 0.0;
     double cross_p99_ms = 0.0;
+    /// One entry per shard (a single one in an unsharded run).
     std::vector<ShardChaosReport> shards;
 
     /// Safety held and every request completed.
@@ -231,7 +194,9 @@ struct ChaosReport {
     }
 };
 
-/// Runs one seeded chaos scenario to completion and reports.
+/// Runs one seeded chaos scenario to completion and reports. Throws
+/// std::invalid_argument when TroxyCluster rejects the shard or front
+/// counts.
 ChaosReport run_chaos(const ChaosOptions& options);
 
 }  // namespace troxy::bench

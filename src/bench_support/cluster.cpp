@@ -113,6 +113,32 @@ void attach_legacy_dispatch(net::Fabric& fabric, sim::Node& node,
         });
 }
 
+/// The hybster::Config a deployment's replica groups run, filled from
+/// `options`: f and the checkpoint, ordering-batch, execution-lane and
+/// state-transfer knobs. `troxy` adds the knobs only the Troxy deployment
+/// forwards (wire coalescing, zero copy, transport, adaptive batching and
+/// the shard count); the BL baseline keeps the original Hybster flow.
+/// The builder fills in the replica node ids and the shard id.
+hybster::Config hybster_config(const ClusterOptions& options, bool troxy) {
+    hybster::Config config;
+    config.f = options.f;
+    config.checkpoint_interval = options.checkpoint_interval;
+    config.batch_size_max = options.batch_size_max;
+    config.batch_delay = options.batch_delay;
+    config.execution_lanes = options.execution_lanes;
+    config.state_chunk_size = options.state_chunk_size;
+    config.state_chunks_per_message = options.state_chunks_per_message;
+    config.state_transfer_retry = options.state_transfer_retry;
+    if (troxy) {
+        config.coalesce_wire = options.coalesce_wire;
+        config.wire_zero_copy = options.wire_zero_copy;
+        config.transport = options.transport;
+        config.adaptive_batching = options.adaptive_batching;
+        config.shard_count = options.shard_count;
+    }
+    return config;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ ClusterBase
@@ -175,134 +201,37 @@ sim::Node& ClusterBase::make_client_node(const std::string& name) {
 TroxyCluster::TroxyCluster(Params params) : ClusterBase(params.base) {
     service_factory_ = params.service;
     client_options_ = params.client;
-    config_.f = options_.f;
-    config_.checkpoint_interval = options_.checkpoint_interval;
-    config_.batch_size_max = options_.batch_size_max;
-    config_.batch_delay = options_.batch_delay;
-    config_.coalesce_wire = options_.coalesce_wire;
-    config_.wire_zero_copy = options_.wire_zero_copy;
-    config_.transport = options_.transport;
-    config_.adaptive_batching = options_.adaptive_batching;
-    config_.execution_lanes = options_.execution_lanes;
-    config_.state_chunk_size = options_.state_chunk_size;
-    config_.state_chunks_per_message = options_.state_chunks_per_message;
-    config_.state_transfer_retry = options_.state_transfer_retry;
-    const int n = 2 * options_.f + 1;
-    for (int i = 0; i < n; ++i) {
-        config_.replicas.push_back(
-            make_server_node("replica" + std::to_string(i)).id());
-    }
-    config_.validate();
-
-    auto provisioned = provision_trinx(n, options_.seed);
-    troxy_core::TroxyReplicaHost::Options host_options = params.host;
-    host_options.troxy.inside_enclave = !params.ctroxy;
-    host_options.authority = provisioned.authority;
-    host_options.measurement = provisioned.measurement;
-    host_options.wire_zero_copy =
-        host_options.wire_zero_copy || options_.wire_zero_copy;
-    if (options_.transport.tx_base_ns > 0.0 ||
-        options_.transport.credit_window > 0) {
-        host_options.transport = options_.transport;
-    }
-
-    for (int i = 0; i < n; ++i) {
-        identities_.push_back(identity_for(options_.seed, i));
-        if (host_options.enclave_recovery_period > 0) {
-            // Stagger the fleet: recover one enclave at a time instead of
-            // tearing all of them down in lockstep.
-            host_options.enclave_recovery_offset =
-                params.host.enclave_recovery_offset +
-                host_options.enclave_recovery_period *
-                    static_cast<std::uint64_t>(i) /
-                    static_cast<std::uint64_t>(n);
-        }
-        hosts_.push_back(std::make_unique<troxy_core::TroxyReplicaHost>(
-            fabric_, *nodes_[static_cast<std::size_t>(i)], config_,
-            static_cast<std::uint32_t>(i), params.service(),
-            provisioned.trinx[static_cast<std::size_t>(i)],
-            identities_.back(), params.classifier, java_, native_,
-            host_options, options_.seed + static_cast<std::uint64_t>(i)));
-        hosts_.back()->attach();
-    }
-}
-
-troxy_core::LegacyClient& TroxyCluster::add_client(int contact) {
-    if (contact < 0) {
-        contact = next_contact_;
-        next_contact_ = (next_contact_ + 1) % config_.n();
-    }
-    sim::Node& node = make_client_node(
-        "client" + std::to_string(clients_.size()));
-
-    // Failover list starting at the chosen contact replica.
-    std::vector<sim::NodeId> servers;
-    std::vector<crypto::X25519Key> keys;
-    for (int i = 0; i < config_.n(); ++i) {
-        const int replica = (contact + i) % config_.n();
-        servers.push_back(config_.node_of(static_cast<std::uint32_t>(replica)));
-        keys.push_back(
-            identities_[static_cast<std::size_t>(replica)].public_key);
-    }
-
-    clients_.push_back(std::make_unique<troxy_core::LegacyClient>(
-        fabric_, node, std::move(servers), std::move(keys), java_,
-        client_options_));
-    auto* client = clients_.back().get();
-    attach_legacy_dispatch(fabric_, node, client);
-    return *client;
-}
-
-void TroxyCluster::crash_host(int replica) {
-    hosts_.at(static_cast<std::size_t>(replica))->crash();
-}
-
-void TroxyCluster::restart_host(int replica) {
-    hosts_.at(static_cast<std::size_t>(replica))->restart(service_factory_());
-}
-
-bool TroxyCluster::recover_enclave(int replica) {
-    return hosts_.at(static_cast<std::size_t>(replica))->recover_enclave();
-}
-
-// --------------------------------------------------- ShardedTroxyCluster
-
-ShardedTroxyCluster::ShardedTroxyCluster(Params params)
-    : ClusterBase(params.base) {
-    service_factory_ = params.service;
-    client_options_ = params.client;
     const int shards = options_.shard_count;
-    const int n = 2 * options_.f + 1;
     if (shards < 1) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: shard_count must be at least 1, got " +
+            "TroxyCluster: shard_count must be at least 1, got " +
             std::to_string(shards));
     }
     if (options_.front_count < 1) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: front_count must be at least 1, got " +
+            "TroxyCluster: front_count must be at least 1, got " +
             std::to_string(options_.front_count));
     }
     if (options_.front_count > 1 && shards == 1) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: front_count > 1 needs a sharded "
-            "deployment (shard_count > 1) — unsharded clients contact "
-            "the replicas directly");
+            "TroxyCluster: front_count > 1 needs a sharded deployment "
+            "(shard_count > 1) — unsharded clients contact the replicas "
+            "directly");
     }
     if (options_.replica_budget > 0 &&
-        shards * n > options_.replica_budget) {
+        shards * n() > options_.replica_budget) {
         throw std::invalid_argument(
-            "ShardedTroxyCluster: " + std::to_string(shards) +
-            " shards x " + std::to_string(n) + " replicas (f=" +
+            "TroxyCluster: " + std::to_string(shards) + " shards x " +
+            std::to_string(n()) + " replicas (f=" +
             std::to_string(options_.f) + ") = " +
-            std::to_string(shards * n) +
+            std::to_string(shards * n()) +
             " replicas exceed the replica budget of " +
             std::to_string(options_.replica_budget));
     }
     if (shards > 1) {
         if (params.map.shard_count() != shards) {
             throw std::invalid_argument(
-                "ShardedTroxyCluster: shard map describes " +
+                "TroxyCluster: shard map describes " +
                 std::to_string(params.map.shard_count()) +
                 " shards but shard_count is " + std::to_string(shards));
         }
@@ -333,7 +262,7 @@ ShardedTroxyCluster::ShardedTroxyCluster(Params params)
             backends.reserve(groups_.size());
             for (Group& group : groups_) {
                 troxy_core::ShardFrontHost::Backend backend;
-                for (int i = 0; i < n; ++i) {
+                for (int i = 0; i < n(); ++i) {
                     backend.servers.push_back(
                         group.config.node_of(
                             static_cast<std::uint32_t>(i)));
@@ -354,29 +283,16 @@ ShardedTroxyCluster::ShardedTroxyCluster(Params params)
     }
 }
 
-void ShardedTroxyCluster::build_group(int shard, const Params& params) {
-    const int n = 2 * options_.f + 1;
-    // Shard 0 runs on the base seed so an S=1 deployment replays the
-    // unsharded TroxyCluster bit-identically; further shards derive
-    // disjoint key material from a fixed stride.
+void TroxyCluster::build_group(int shard, const Params& params) {
+    const int n = this->n();
+    // Shard 0 runs on the base seed, so an S=1 deployment keeps the
+    // single-group key material; further shards derive disjoint key
+    // material from a fixed stride.
     const std::uint64_t group_seed =
         options_.seed + static_cast<std::uint64_t>(shard) * 1000003;
     Group group;
-    group.config.f = options_.f;
-    group.config.checkpoint_interval = options_.checkpoint_interval;
-    group.config.batch_size_max = options_.batch_size_max;
-    group.config.batch_delay = options_.batch_delay;
-    group.config.coalesce_wire = options_.coalesce_wire;
-    group.config.wire_zero_copy = options_.wire_zero_copy;
-    group.config.transport = options_.transport;
-    group.config.adaptive_batching = options_.adaptive_batching;
-    group.config.execution_lanes = options_.execution_lanes;
-    group.config.state_chunk_size = options_.state_chunk_size;
-    group.config.state_chunks_per_message =
-        options_.state_chunks_per_message;
-    group.config.state_transfer_retry = options_.state_transfer_retry;
+    group.config = hybster_config(options_, /*troxy=*/true);
     group.config.shard_id = shard;
-    group.config.shard_count = options_.shard_count;
     const std::size_t node_base = nodes_.size();
     for (int i = 0; i < n; ++i) {
         const std::string name =
@@ -392,16 +308,12 @@ void ShardedTroxyCluster::build_group(int shard, const Params& params) {
     host_options.troxy.inside_enclave = !params.ctroxy;
     host_options.authority = provisioned.authority;
     host_options.measurement = provisioned.measurement;
-    host_options.wire_zero_copy =
-        host_options.wire_zero_copy || options_.wire_zero_copy;
-    if (options_.transport.tx_base_ns > 0.0 ||
-        options_.transport.credit_window > 0) {
-        host_options.transport = options_.transport;
-    }
 
     for (int i = 0; i < n; ++i) {
         group.identities.push_back(identity_for(group_seed, i));
         if (host_options.enclave_recovery_period > 0) {
+            // Stagger the group: recover one enclave at a time instead
+            // of tearing all of them down in lockstep.
             host_options.enclave_recovery_offset =
                 params.host.enclave_recovery_offset +
                 host_options.enclave_recovery_period *
@@ -422,7 +334,13 @@ void ShardedTroxyCluster::build_group(int shard, const Params& params) {
     groups_.push_back(std::move(group));
 }
 
-troxy_core::LegacyClient& ShardedTroxyCluster::add_client() {
+troxy_core::LegacyClient& TroxyCluster::add_client(int contact) {
+    if (contact >= 0 && !fronts_.empty()) {
+        throw std::invalid_argument(
+            "TroxyCluster::add_client: a sharded deployment assigns the "
+            "contact front by consistent hashing, got contact " +
+            std::to_string(contact));
+    }
     sim::Node& node = make_client_node(
         "client" + std::to_string(clients_.size()));
 
@@ -442,13 +360,15 @@ troxy_core::LegacyClient& ShardedTroxyCluster::add_client() {
                     .public_key);
         }
     } else {
-        // Unsharded: round-robin contact with full failover list,
-        // exactly like TroxyCluster::add_client.
+        // Unsharded: failover list over every replica, starting at the
+        // contact replica.
+        if (contact < 0) {
+            contact = next_contact_;
+            next_contact_ = (next_contact_ + 1) % n();
+        }
         const Group& group = groups_.front();
-        const int contact = next_contact_;
-        next_contact_ = (next_contact_ + 1) % group.config.n();
-        for (int i = 0; i < group.config.n(); ++i) {
-            const int replica = (contact + i) % group.config.n();
+        for (int i = 0; i < n(); ++i) {
+            const int replica = (contact + i) % n();
             servers.push_back(
                 group.config.node_of(static_cast<std::uint32_t>(replica)));
             keys.push_back(
@@ -465,23 +385,23 @@ troxy_core::LegacyClient& ShardedTroxyCluster::add_client() {
     return *client;
 }
 
-void ShardedTroxyCluster::crash_host(int shard, int replica) {
-    groups_.at(static_cast<std::size_t>(shard))
-        .hosts.at(static_cast<std::size_t>(replica))
-        ->crash();
+void TroxyCluster::crash_host(int shard, int replica) {
+    host(shard, replica).crash();
 }
 
-void ShardedTroxyCluster::restart_host(int shard, int replica) {
-    groups_.at(static_cast<std::size_t>(shard))
-        .hosts.at(static_cast<std::size_t>(replica))
-        ->restart(service_factory_());
+void TroxyCluster::restart_host(int shard, int replica) {
+    host(shard, replica).restart(service_factory_());
 }
 
-void ShardedTroxyCluster::crash_front(int front) {
+bool TroxyCluster::recover_enclave(int shard, int replica) {
+    return host(shard, replica).recover_enclave();
+}
+
+void TroxyCluster::crash_front(int front) {
     fronts_.at(static_cast<std::size_t>(front))->crash();
 }
 
-void ShardedTroxyCluster::restart_front(int front) {
+void TroxyCluster::restart_front(int front) {
     fronts_.at(static_cast<std::size_t>(front))->restart();
 }
 
@@ -491,14 +411,7 @@ BaselineCluster::BaselineCluster(Params params)
     : ClusterBase(params.base),
       optimistic_reads_(params.optimistic_reads),
       client_retransmit_(params.client_retransmit) {
-    config_.f = options_.f;
-    config_.checkpoint_interval = options_.checkpoint_interval;
-    config_.batch_size_max = options_.batch_size_max;
-    config_.batch_delay = options_.batch_delay;
-    config_.execution_lanes = options_.execution_lanes;
-    config_.state_chunk_size = options_.state_chunk_size;
-    config_.state_chunks_per_message = options_.state_chunks_per_message;
-    config_.state_transfer_retry = options_.state_transfer_retry;
+    config_ = hybster_config(options_, /*troxy=*/false);
     const int n = 2 * options_.f + 1;
     for (int i = 0; i < n; ++i) {
         config_.replicas.push_back(

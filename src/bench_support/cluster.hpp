@@ -5,7 +5,8 @@
 // clients.
 //
 // Four deployments, one per evaluated system:
-//   TroxyCluster       — Troxy-backed Hybster (etroxy / ctroxy)
+//   TroxyCluster       — Troxy-backed Hybster (etroxy / ctroxy), S >= 1
+//                        shards
 //   BaselineCluster    — original Hybster with the client-side library (BL)
 //   ProphecyCluster    — PBFT (3f+1) behind a Prophecy middlebox
 //   StandaloneCluster  — single unreplicated server (the "Jetty" floor)
@@ -45,9 +46,11 @@ struct ClusterOptions {
     /// Coalesce replica flush bursts into one Bundle frame per
     /// destination (hybster::Config::coalesce_wire).
     bool coalesce_wire = false;
-    /// Ship coalesced bursts as scatter-gather fragment chains instead of
-    /// flattened Bundle buffers (replica and Troxy-host senders). Wire
-    /// bytes identical; off by default for bit-identical seed replay.
+    /// Scatter-gather wire path (hybster::Config::wire_zero_copy):
+    /// coalesced bursts of replicas and Troxy hosts ship as fragment
+    /// chains, and state-transfer chunk streams reference snapshot
+    /// chunks in place whether or not coalesce_wire is on. Wire bytes
+    /// identical; off by default for bit-identical seed replay.
     bool wire_zero_copy = false;
     /// Transport profile every sender charges per emitted record
     /// (kernel_nic syscall+copy, bypass doorbell+credits); its
@@ -77,17 +80,17 @@ struct ClusterOptions {
     sim::Simulator::Scheduler scheduler =
         sim::Simulator::Scheduler::Calendar;
     /// Number of independent replica groups the service state is
-    /// partitioned over (ShardedTroxyCluster). 1 = the classic unsharded
-    /// deployment, byte-identical to TroxyCluster.
+    /// partitioned over (TroxyCluster). 1 = the classic unsharded
+    /// deployment: no front, clients contact the replicas directly.
     int shard_count = 1;
     /// Upper bound on total replicas across all shards (testbed machine
     /// budget); 0 = unlimited. shard_count * (2f+1) must fit inside it.
     int replica_budget = 0;
     /// Independent routing fronts over the sharded deployment (fronts
     /// share no state; clients are assigned by consistent hashing).
-    /// Only meaningful when shard_count > 1; front_count == 1 keeps the
-    /// single-front deployment bit-identical to the pre-multi-front
-    /// builds.
+    /// Must stay 1 when shard_count == 1 (TroxyCluster rejects more);
+    /// front_count == 1 keeps the single-front deployment bit-identical
+    /// to the pre-multi-front builds.
     int front_count = 1;
 };
 
@@ -134,72 +137,22 @@ class ClusterBase {
 
 // ---------------------------------------------------------------- Troxy
 
+/// The Troxy deployment (etroxy / ctroxy): S >= 1 independent
+/// Troxy-backed Hybster groups. Each shard is a full 2f+1 replica group
+/// with its own log, leader, checkpoints and Troxy cache slice.
+///
+/// With shard_count == 1 (the default) this is the paper's single group
+/// (§VI-A): no front node, clients contact the replicas directly. With
+/// shard_count > 1 a front terminates legacy client channels, routes by
+/// the ShardMap and merges replies so clients observe a single endpoint.
+/// The front holds no protocol state, so the tier scales out:
+/// front_count > 1 runs F independent fronts over the same shards with
+/// consistent-hash client assignment (FrontMap); a client's failover
+/// list walks the ring, so a front crash sends its clients to the next
+/// front.
+///
+/// The one-argument replica accessors address shard 0.
 class TroxyCluster : public ClusterBase {
-  public:
-    struct Params {
-        ClusterOptions base;
-        hybster::ServiceFactory service;
-        troxy_core::Classifier classifier;
-        troxy_core::TroxyReplicaHost::Options host;
-        troxy_core::LegacyClient::Options client;
-        bool ctroxy = false;  // run the Troxy outside the enclave
-    };
-
-    explicit TroxyCluster(Params params);
-
-    [[nodiscard]] int n() const noexcept { return config_.n(); }
-    [[nodiscard]] const hybster::Config& config() const noexcept {
-        return config_;
-    }
-    [[nodiscard]] troxy_core::TroxyReplicaHost& host(int replica) {
-        return *hosts_.at(static_cast<std::size_t>(replica));
-    }
-
-    /// Adds a legacy client whose first contact is `contact` (or
-    /// round-robin when negative); failover list covers all replicas.
-    troxy_core::LegacyClient& add_client(int contact = -1);
-
-    /// Whole-host crash/restart; restart hands the host a fresh service
-    /// instance from the cluster's factory, after which the replica
-    /// rejoins via checkpoint state transfer.
-    void crash_host(int replica);
-    void restart_host(int replica);
-
-    /// Proactive enclave recovery on one host (attestation re-handshake,
-    /// session-key rotation, certified counter handover). Returns false
-    /// if recovery could not start (host crashed, one in flight).
-    bool recover_enclave(int replica);
-
-    [[nodiscard]] std::vector<troxy_core::LegacyClient*> clients() {
-        std::vector<troxy_core::LegacyClient*> out;
-        for (auto& c : clients_) out.push_back(c.get());
-        return out;
-    }
-
-  private:
-    hybster::Config config_;
-    hybster::ServiceFactory service_factory_;
-    troxy_core::LegacyClient::Options client_options_;
-    std::vector<crypto::X25519Keypair> identities_;
-    std::vector<std::unique_ptr<troxy_core::TroxyReplicaHost>> hosts_;
-    std::vector<std::unique_ptr<troxy_core::LegacyClient>> clients_;
-    int next_contact_ = 0;
-};
-
-// --------------------------------------------------------- Sharded Troxy
-
-/// S independent Troxy-backed Hybster groups behind a transparent front
-/// tier. Each shard is a full 2f+1 replica group with its own log,
-/// leader, checkpoints and Troxy cache slice; a front terminates legacy
-/// client channels, routes by the ShardMap and merges replies so clients
-/// observe a single endpoint. The front holds no protocol state, so the
-/// tier scales out: front_count > 1 runs F independent fronts over the
-/// same shards with consistent-hash client assignment (FrontMap); a
-/// client's failover list walks the ring, so a front crash sends its
-/// clients to the next front. With shard_count == 1 the deployment is
-/// byte-identical to TroxyCluster: same node names, same seeds, no
-/// front node, clients contact the replicas directly.
-class ShardedTroxyCluster : public ClusterBase {
   public:
     struct Params {
         ClusterOptions base;  // base.shard_count selects S
@@ -207,7 +160,7 @@ class ShardedTroxyCluster : public ClusterBase {
         troxy_core::Classifier classifier;
         troxy_core::TroxyReplicaHost::Options host;
         troxy_core::LegacyClient::Options client;
-        bool ctroxy = false;
+        bool ctroxy = false;  // run the Troxy outside the enclave
         /// Key-range partition; must describe exactly base.shard_count
         /// shards (ignored when shard_count == 1). Build with
         /// ShardMap::split_evenly over the workload's key universe.
@@ -217,15 +170,21 @@ class ShardedTroxyCluster : public ClusterBase {
     };
 
     /// Throws std::invalid_argument when the shard knobs are inconsistent
-    /// (shard count < 1, replica budget exceeded, map/shard mismatch,
-    /// malformed boundaries).
-    explicit ShardedTroxyCluster(Params params);
+    /// (shard count < 1, front count < 1, several fronts over one shard,
+    /// replica budget exceeded, map/shard mismatch, malformed
+    /// boundaries).
+    explicit TroxyCluster(Params params);
 
     [[nodiscard]] int shards() const noexcept {
         return static_cast<int>(groups_.size());
     }
+    /// Replicas per shard (2f+1).
+    [[nodiscard]] int n() const noexcept { return 2 * options_.f + 1; }
     [[nodiscard]] const hybster::Config& config(int shard = 0) const {
         return groups_.at(static_cast<std::size_t>(shard)).config;
+    }
+    [[nodiscard]] troxy_core::TroxyReplicaHost& host(int replica) {
+        return host(0, replica);
     }
     [[nodiscard]] troxy_core::TroxyReplicaHost& host(int shard,
                                                      int replica) {
@@ -249,12 +208,25 @@ class ShardedTroxyCluster : public ClusterBase {
 
     /// Adds a legacy client. Sharded: contacts its consistent-hash front
     /// first, with the remaining fronts as failover targets in ring
-    /// order. Unsharded: identical to TroxyCluster::add_client with
-    /// round-robin contact over the replicas.
-    troxy_core::LegacyClient& add_client();
+    /// order. Unsharded: contacts replica `contact` first (round-robin
+    /// over the replicas when negative), with every replica on its
+    /// failover list. Throws std::invalid_argument for a non-negative
+    /// `contact` on a sharded deployment, where the ring picks it.
+    troxy_core::LegacyClient& add_client(int contact = -1);
 
+    /// Whole-host crash/restart; restart hands the host a fresh service
+    /// instance from the cluster's factory, after which the replica
+    /// rejoins via checkpoint state transfer.
+    void crash_host(int replica) { crash_host(0, replica); }
     void crash_host(int shard, int replica);
+    void restart_host(int replica) { restart_host(0, replica); }
     void restart_host(int shard, int replica);
+
+    /// Proactive enclave recovery on one host (attestation re-handshake,
+    /// session-key rotation, certified counter handover). Returns false
+    /// if recovery could not start (host crashed, one in flight).
+    bool recover_enclave(int replica) { return recover_enclave(0, replica); }
+    bool recover_enclave(int shard, int replica);
 
     /// Front-tier crash/restart. A crashed front drops its connections
     /// and in-flight forwards; its clients time out and fail over to the
@@ -287,6 +259,10 @@ class ShardedTroxyCluster : public ClusterBase {
     std::vector<std::unique_ptr<troxy_core::LegacyClient>> clients_;
     int next_contact_ = 0;
 };
+
+/// Former name of the sharded builder, kept because the perfbench/
+/// benchmark spells and subclasses it.
+using ShardedTroxyCluster = TroxyCluster;
 
 // -------------------------------------------------------------- Baseline
 

@@ -55,22 +55,9 @@ Generator make_generator(const MicroParams& params) {
     };
 }
 
-ClusterOptions base_options(const MicroParams& params) {
-    ClusterOptions options;
-    options.seed = params.seed;
-    options.wan_clients = params.wan;
-    options.lan_jitter = params.lan_jitter;
-    options.batch_size_max = params.batch_size_max;
-    options.batch_delay = params.batch_delay;
-    options.coalesce_wire = params.coalesce_wire;
-    options.adaptive_batching = params.adaptive_batching;
-    options.execution_lanes = params.execution_lanes;
-    return options;
-}
-
 MicroResult run_baseline(const MicroParams& params) {
     BaselineCluster::Params cluster_params;
-    cluster_params.base = base_options(params);
+    cluster_params.base = params.cluster;
     cluster_params.service = []() {
         return std::make_unique<EchoService>();
     };
@@ -79,7 +66,7 @@ MicroResult run_baseline(const MicroParams& params) {
 
     Recorder recorder(params.warmup, params.window);
     Workload workload(cluster.simulator(), recorder, make_generator(params),
-                      params.seed);
+                      params.cluster.seed);
     // Stagger client ramp-up across the warmup so measurement starts from
     // steady state instead of a connection/cold-cache stampede.
     const sim::Duration stagger =
@@ -109,7 +96,7 @@ MicroResult run_baseline(const MicroParams& params) {
 
 MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
     TroxyCluster::Params cluster_params;
-    cluster_params.base = base_options(params);
+    cluster_params.base = params.cluster;
     cluster_params.service = []() {
         return std::make_unique<EchoService>();
     };
@@ -117,33 +104,13 @@ MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
         return EchoService().classify(request);
     };
     cluster_params.ctroxy = (kind == SystemKind::CTroxy);
-    cluster_params.host.troxy.fast_reads = params.fast_reads;
-    cluster_params.host.troxy.monitor.adaptive = params.adaptive_monitor;
-    cluster_params.host.troxy.monitor.miss_threshold =
-        params.monitor_threshold;
-    cluster_params.host.troxy.enclave_costs = params.enclave_costs;
-    cluster_params.host.voter_batch_max = params.voter_batch_max;
-    cluster_params.host.voter_batch_delay = params.voter_batch_delay;
-    cluster_params.host.coalesce_wire = params.coalesce_wire;
-    cluster_params.host.adaptive_voting = params.adaptive_voting;
-    cluster_params.host.batch_reply_auth = params.batch_reply_auth;
-    cluster_params.host.fastread_batch_max = params.fastread_batch_max;
-    cluster_params.host.fastread_batch_delay = params.fastread_batch_delay;
-    cluster_params.host.adaptive_fastread = params.adaptive_fastread;
-    cluster_params.host.fastread_latency_target =
-        params.fastread_latency_target;
-    cluster_params.client.coalesce_sends = params.coalesce_client_sends;
-    // Remote cache queries cross the replica LAN, but under heavy load
-    // their processing queues behind the enclave's thread budget; the
-    // timeout is a liveness backstop, not a performance path, so it is
-    // set well above worst-case queueing.
-    cluster_params.host.fast_read_timeout =
-        params.wan ? sim::milliseconds(500) : sim::milliseconds(100);
+    cluster_params.host = params.host;
+    cluster_params.client = params.client;
     TroxyCluster cluster(std::move(cluster_params));
 
     Recorder recorder(params.warmup, params.window);
     Workload workload(cluster.simulator(), recorder, make_generator(params),
-                      params.seed);
+                      params.cluster.seed);
     const sim::Duration stagger =
         params.warmup / (2 * static_cast<unsigned>(params.clients) + 2);
     for (int i = 0; i < params.clients; ++i) {

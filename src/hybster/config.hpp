@@ -45,8 +45,11 @@ struct Config {
     /// unbatched message flow stays byte-identical to the seed.
     bool coalesce_wire = false;
 
-    /// Ship coalesced bursts as scatter-gather fragment chains instead of
-    /// flattening them into one contiguous Bundle buffer. Wire bytes are
+    /// Scatter-gather wire path, two effects. Coalesced bursts ship as
+    /// fragment chains instead of one flattened Bundle buffer. And,
+    /// with or without coalesce_wire, StateResponse chunk streams travel
+    /// as fragment chains that reference the snapshot chunks in place
+    /// instead of copying them into each message. Wire bytes are
     /// identical; only copies and allocations disappear. Off by default
     /// so existing runs replay bit-identically.
     bool wire_zero_copy = false;

@@ -512,8 +512,8 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
     }
 
     net::Outbox outbox(fabric_, node_, options_.coalesce_wire,
-                       /*record_cost=*/0, options_.wire_zero_copy,
-                       &options_.transport);
+                       /*record_cost=*/0, config_.wire_zero_copy,
+                       &config_.transport);
     for (auto& [to, bytes] : actions.sends) {
         outbox.send(to, std::move(bytes));
     }
@@ -623,8 +623,8 @@ void TroxyReplicaHost::arm_fastread_flush_timer() {
             fastread_timer_armed_ = false;
             enclave::CostMeter meter;
             net::Outbox outbox(fabric_, node_, options_.coalesce_wire,
-                       /*record_cost=*/0, options_.wire_zero_copy,
-                       &options_.transport);
+                       /*record_cost=*/0, config_.wire_zero_copy,
+                       &config_.transport);
             flush_fastread_buffer(outbox);
             outbox.flush(meter);
         });

@@ -25,7 +25,7 @@ namespace troxy::troxy_core {
 class TroxyReplicaHost {
   public:
     struct Options {
-        TroxyOptions troxy;
+        TroxyOptions troxy{};
         /// Retransmit interval for ordered requests awaiting votes.
         sim::Duration vote_timeout = sim::milliseconds(2000);
         /// Remote-cache-query timeout before falling back to ordering.
@@ -37,16 +37,10 @@ class TroxyReplicaHost {
         /// flushing it into the enclave (bounds added vote latency).
         sim::Duration voter_batch_delay = sim::microseconds(100);
         /// Coalesce this host's outgoing flush bursts into one Bundle
-        /// frame per destination (one wire record per burst).
+        /// frame per destination (one wire record per burst). The host's
+        /// flushes take wire_zero_copy and the transport profile from the
+        /// hybster::Config it runs with, like its replica's.
         bool coalesce_wire = false;
-        /// Ship coalesced bursts as scatter-gather fragment chains (wire
-        /// bytes identical, flatten copies and allocations eliminated).
-        /// Off by default so existing runs replay bit-identically.
-        bool wire_zero_copy = false;
-        /// Per-record transport send cost charged by this host's flushes
-        /// (kernel syscall+copy vs bypass doorbell). The default none()
-        /// charges nothing — the seed's implicit model.
-        sim::TransportProfile transport = sim::TransportProfile::none();
         /// Let an EWMA of the served reply load (replies per delay window)
         /// shrink the voter flush boundary under light load (idle keeps
         /// per-reply latency).
@@ -74,7 +68,7 @@ class TroxyReplicaHost {
         // --- proactive enclave recovery (SecureSMART-style) ---
         /// Attestation context for recovery re-handshakes. Recovery is
         /// disabled while the authority is absent.
-        std::shared_ptr<enclave::AttestationAuthority> authority;
+        std::shared_ptr<enclave::AttestationAuthority> authority{};
         /// Expected enclave measurement the re-handshake checks against.
         enclave::Measurement measurement{};
         /// Recover this host's enclave every period (0 = only explicit

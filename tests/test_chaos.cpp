@@ -29,7 +29,7 @@ std::string report_summary(const bench::ChaosReport& report) {
 TEST(Chaos, CrashPlusPartitionScenarioAcrossSeeds) {
     for (const std::uint64_t seed : {7u, 11u, 13u, 17u, 19u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
+        options.cluster.seed = seed;
         // Replica r lives on server node r+1 (ids are assigned in
         // construction order starting at 1); clients are unlisted and
         // keep their links.
@@ -51,7 +51,7 @@ TEST(Chaos, CrashPlusPartitionScenarioAcrossSeeds) {
 TEST(Chaos, RandomSchedulesAcrossSeeds) {
     for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
+        options.cluster.seed = seed;
         const bench::ChaosReport report = bench::run_chaos(options);
         EXPECT_TRUE(report.ok())
             << "seed " << seed << ": " << report_summary(report);
@@ -63,7 +63,7 @@ TEST(Chaos, RandomSchedulesAcrossSeeds) {
 // counters. A different seed diverges.
 TEST(Chaos, SameSeedReplaysIdentically) {
     bench::ChaosOptions options;
-    options.seed = 3;
+    options.cluster.seed = 3;
     const bench::ChaosReport a = bench::run_chaos(options);
     const bench::ChaosReport b = bench::run_chaos(options);
 
@@ -80,7 +80,7 @@ TEST(Chaos, SameSeedReplaysIdentically) {
     EXPECT_EQ(a.state_transfers, b.state_transfers);
 
     bench::ChaosOptions other = options;
-    other.seed = 4;
+    other.cluster.seed = 4;
     const bench::ChaosReport c = bench::run_chaos(other);
     EXPECT_NE(a.plan_trace, c.plan_trace);
 }
@@ -93,9 +93,9 @@ TEST(Chaos, SameSeedReplaysIdentically) {
 TEST(Chaos, LeaderCrashWithBatchingInFlight) {
     for (const std::uint64_t seed : {7u, 11u, 13u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
-        options.batch_size_max = 8;
-        options.batch_delay = sim::milliseconds(5);
+        options.cluster.seed = seed;
+        options.cluster.batch_size_max = 8;
+        options.cluster.batch_delay = sim::milliseconds(5);
         // Short think time keeps several requests in flight so batches
         // actually form around the crash instant.
         options.think_time = sim::milliseconds(20);
@@ -116,9 +116,9 @@ TEST(Chaos, LeaderCrashWithBatchingInFlight) {
 // network counters.
 TEST(Chaos, BatchedSameSeedReplaysIdentically) {
     bench::ChaosOptions options;
-    options.seed = 3;
-    options.batch_size_max = 8;
-    options.batch_delay = sim::milliseconds(5);
+    options.cluster.seed = 3;
+    options.cluster.batch_size_max = 8;
+    options.cluster.batch_delay = sim::milliseconds(5);
     options.think_time = sim::milliseconds(20);
     const bench::ChaosReport a = bench::run_chaos(options);
     const bench::ChaosReport b = bench::run_chaos(options);
@@ -138,8 +138,8 @@ TEST(Chaos, BatchedSameSeedReplaysIdentically) {
     // Batching changes the message flow relative to the unbatched run of
     // the same seed — fewer agreement messages for the same workload.
     bench::ChaosOptions unbatched = options;
-    unbatched.batch_size_max = 1;
-    unbatched.batch_delay = 0;
+    unbatched.cluster.batch_size_max = 1;
+    unbatched.cluster.batch_delay = 0;
     const bench::ChaosReport c = bench::run_chaos(unbatched);
     EXPECT_EQ(c.completed, a.completed);
     EXPECT_NE(a.messages_sent, c.messages_sent);
@@ -153,10 +153,10 @@ TEST(Chaos, BatchedSameSeedReplaysIdentically) {
 TEST(Chaos, ExecutionLanesStayLinearizableAndDeterministic) {
     for (const std::uint64_t seed : {7u, 11u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
-        options.batch_size_max = 8;
-        options.batch_delay = sim::milliseconds(5);
-        options.execution_lanes = 4;
+        options.cluster.seed = seed;
+        options.cluster.batch_size_max = 8;
+        options.cluster.batch_delay = sim::milliseconds(5);
+        options.cluster.execution_lanes = 4;
         options.think_time = sim::milliseconds(20);
         const bench::ChaosReport report = bench::run_chaos(options);
         EXPECT_TRUE(report.ok())
@@ -165,10 +165,10 @@ TEST(Chaos, ExecutionLanesStayLinearizableAndDeterministic) {
 
     // Same-seed replay stays bit-identical with lanes on.
     bench::ChaosOptions options;
-    options.seed = 3;
-    options.batch_size_max = 8;
-    options.batch_delay = sim::milliseconds(5);
-    options.execution_lanes = 4;
+    options.cluster.seed = 3;
+    options.cluster.batch_size_max = 8;
+    options.cluster.batch_delay = sim::milliseconds(5);
+    options.cluster.execution_lanes = 4;
     options.think_time = sim::milliseconds(20);
     const bench::ChaosReport a = bench::run_chaos(options);
     const bench::ChaosReport b = bench::run_chaos(options);
@@ -188,11 +188,12 @@ TEST(Chaos, ExecutionLanesStayLinearizableAndDeterministic) {
 TEST(Chaos, BatchedVotingWithCoalescingStaysLinearizable) {
     for (const std::uint64_t seed : {7u, 11u, 13u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
-        options.batch_size_max = 8;
-        options.batch_delay = sim::milliseconds(5);
-        options.voter_batch_max = 8;
-        options.coalesce_wire = true;
+        options.cluster.seed = seed;
+        options.cluster.batch_size_max = 8;
+        options.cluster.batch_delay = sim::milliseconds(5);
+        options.host.voter_batch_max = 8;
+        options.cluster.coalesce_wire = true;
+        options.host.coalesce_wire = true;
         options.think_time = sim::milliseconds(20);
         options.plan.crash(sim::milliseconds(1500), 2)
             .partition(sim::seconds(2), "split", {{1}, {2}})
@@ -206,9 +207,10 @@ TEST(Chaos, BatchedVotingWithCoalescingStaysLinearizable) {
     // Coalescing is observable on the wire (fewer records for the same
     // workload) while remaining deterministic per seed.
     bench::ChaosOptions options;
-    options.seed = 3;
-    options.voter_batch_max = 8;
-    options.coalesce_wire = true;
+    options.cluster.seed = 3;
+    options.host.voter_batch_max = 8;
+    options.cluster.coalesce_wire = true;
+    options.host.coalesce_wire = true;
     options.think_time = sim::milliseconds(20);
     const bench::ChaosReport a = bench::run_chaos(options);
     const bench::ChaosReport b = bench::run_chaos(options);
@@ -218,8 +220,9 @@ TEST(Chaos, BatchedVotingWithCoalescingStaysLinearizable) {
     EXPECT_EQ(a.completed, b.completed);
 
     bench::ChaosOptions plain = options;
-    plain.voter_batch_max = 1;
-    plain.coalesce_wire = false;
+    plain.host.voter_batch_max = 1;
+    plain.cluster.coalesce_wire = false;
+    plain.host.coalesce_wire = false;
     const bench::ChaosReport c = bench::run_chaos(plain);
     EXPECT_EQ(c.completed, a.completed);
     EXPECT_LT(a.messages_sent, c.messages_sent);
@@ -234,13 +237,14 @@ TEST(Chaos, BatchedVotingWithCoalescingStaysLinearizable) {
 TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
     for (const std::uint64_t seed : {7u, 11u, 13u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
-        options.batch_size_max = 8;
-        options.batch_delay = sim::milliseconds(5);
-        options.voter_batch_max = 8;
-        options.coalesce_wire = true;
-        options.wire_zero_copy = true;
-        options.transport = sim::TransportProfile::bypass();
+        options.cluster.seed = seed;
+        options.cluster.batch_size_max = 8;
+        options.cluster.batch_delay = sim::milliseconds(5);
+        options.host.voter_batch_max = 8;
+        options.cluster.coalesce_wire = true;
+        options.host.coalesce_wire = true;
+        options.cluster.wire_zero_copy = true;
+        options.cluster.transport = sim::TransportProfile::bypass();
         options.think_time = sim::milliseconds(20);
         options.plan.crash(sim::milliseconds(1500), 2)
             .partition(sim::seconds(2), "split", {{1}, {2}})
@@ -258,14 +262,15 @@ TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
     // the same seed under the flattened-Bundle flow ships the identical
     // message and byte totals.
     bench::ChaosOptions options;
-    options.seed = 3;
-    options.voter_batch_max = 8;
-    options.coalesce_wire = true;
-    options.wire_zero_copy = true;
+    options.cluster.seed = 3;
+    options.host.voter_batch_max = 8;
+    options.cluster.coalesce_wire = true;
+    options.host.coalesce_wire = true;
+    options.cluster.wire_zero_copy = true;
     options.think_time = sim::milliseconds(20);
     const bench::ChaosReport zc = bench::run_chaos(options);
     bench::ChaosOptions copying = options;
-    copying.wire_zero_copy = false;
+    copying.cluster.wire_zero_copy = false;
     const bench::ChaosReport flat = bench::run_chaos(copying);
     EXPECT_TRUE(zc.ok()) << report_summary(zc);
     EXPECT_EQ(zc.messages_sent, flat.messages_sent);
@@ -285,14 +290,15 @@ TEST(Chaos, ZeroCopyWirePathStaysLinearizable) {
 TEST(Chaos, BatchedFastReadsStayLinearizable) {
     for (const std::uint64_t seed : {7u, 11u, 13u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
+        options.cluster.seed = seed;
         options.write_fraction = 0.2;  // read-heavy: fast reads dominate
-        options.fastread_batch_max = 16;
-        options.voter_batch_max = 8;
-        options.batch_reply_auth = true;
-        options.coalesce_wire = true;
-        options.batch_size_max = 8;
-        options.batch_delay = sim::milliseconds(5);
+        options.host.fastread_batch_max = 16;
+        options.host.voter_batch_max = 8;
+        options.host.batch_reply_auth = true;
+        options.cluster.coalesce_wire = true;
+        options.host.coalesce_wire = true;
+        options.cluster.batch_size_max = 8;
+        options.cluster.batch_delay = sim::milliseconds(5);
         options.think_time = sim::milliseconds(20);
         options.plan.crash(sim::milliseconds(1500), 2)
             .partition(sim::seconds(2), "split", {{1}, {2}})
@@ -306,12 +312,13 @@ TEST(Chaos, BatchedFastReadsStayLinearizable) {
     // Same-seed replay stays bit-identical with the read pipeline on, and
     // batching is observable as fewer wire messages than the seed flow.
     bench::ChaosOptions options;
-    options.seed = 3;
+    options.cluster.seed = 3;
     options.write_fraction = 0.2;
-    options.fastread_batch_max = 16;
-    options.voter_batch_max = 8;
-    options.batch_reply_auth = true;
-    options.coalesce_wire = true;
+    options.host.fastread_batch_max = 16;
+    options.host.voter_batch_max = 8;
+    options.host.batch_reply_auth = true;
+    options.cluster.coalesce_wire = true;
+    options.host.coalesce_wire = true;
     options.think_time = sim::milliseconds(20);
     const bench::ChaosReport a = bench::run_chaos(options);
     const bench::ChaosReport b = bench::run_chaos(options);
@@ -321,10 +328,11 @@ TEST(Chaos, BatchedFastReadsStayLinearizable) {
     EXPECT_EQ(a.completed, b.completed);
 
     bench::ChaosOptions plain = options;
-    plain.fastread_batch_max = 1;
-    plain.voter_batch_max = 1;
-    plain.batch_reply_auth = false;
-    plain.coalesce_wire = false;
+    plain.host.fastread_batch_max = 1;
+    plain.host.voter_batch_max = 1;
+    plain.host.batch_reply_auth = false;
+    plain.cluster.coalesce_wire = false;
+    plain.host.coalesce_wire = false;
     const bench::ChaosReport c = bench::run_chaos(plain);
     EXPECT_EQ(c.completed, a.completed);
     EXPECT_LT(a.messages_sent, c.messages_sent);
@@ -397,13 +405,13 @@ TEST(Chaos, RestartedReplicaRejoinsViaStateTransfer) {
 TEST(Chaos, CalendarAndBinaryHeapSchedulersAgree) {
     for (const std::uint64_t seed : {3u, 9u, 21u}) {
         bench::ChaosOptions options;
-        options.seed = seed;
+        options.cluster.seed = seed;
         options.requests_per_client = 25;
         options.horizon = sim::seconds(20);
 
-        options.scheduler = sim::Simulator::Scheduler::BinaryHeap;
+        options.cluster.scheduler = sim::Simulator::Scheduler::BinaryHeap;
         const bench::ChaosReport heap = bench::run_chaos(options);
-        options.scheduler = sim::Simulator::Scheduler::Calendar;
+        options.cluster.scheduler = sim::Simulator::Scheduler::Calendar;
         const bench::ChaosReport calendar = bench::run_chaos(options);
 
         EXPECT_TRUE(heap.ok()) << report_summary(heap);

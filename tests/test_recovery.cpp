@@ -5,6 +5,7 @@
 #include "apps/echo_service.hpp"
 #include "bench_support/chaos.hpp"
 #include "bench_support/cluster.hpp"
+#include "common/serialize.hpp"
 #include "hybster/snapshot.hpp"
 
 namespace troxy {
@@ -395,42 +396,83 @@ TEST(Recovery, TransferSurvivesResponderCrash) {
 
 // Explicit recovery under client load: the host buffers frames across
 // the downtime window, the fresh enclave passes attestation, rebinds the
-// counters, and the buffered requests still complete.
+// counters, and the buffered requests still complete. Runs on the
+// single group and on a shard of an S = 2 deployment, where the
+// recovering host is the one the front's shard-1 session contacts.
 TEST(Recovery, EnclaveRecoveryUnderLoadIsTransparent) {
-    auto params = recovery_params(904);
-    bench::TroxyCluster cluster(params);
-    auto& client = cluster.add_client(1);
-
-    bool warm = false;
-    drive_writes(cluster, client, 8, 4, [&]() { warm = true; });
-    cluster.simulator().run_until(sim::seconds(3));
-    ASSERT_TRUE(warm);
-
-    // Kick the recovery, then immediately keep writing through the
-    // contact replica whose enclave is down.
-    ASSERT_TRUE(cluster.recover_enclave(1));
-    EXPECT_FALSE(cluster.recover_enclave(1));  // one in flight already
-
-    bool tail_done = false;
-    auto issue_tail = std::make_shared<std::function<void(int)>>();
-    *issue_tail = [&](int left) {
-        if (left == 0) {
-            tail_done = true;
-            return;
-        }
-        client.send(EchoService::make_write(1, 64), [&, left](Bytes) {
-            (*issue_tail)(left - 1);
-        });
+    struct Input {
+        int shards;
+        int shard;  // whose host recovers
+        int replica;
+        std::uint64_t key;  // written through the recovering host
     };
-    (*issue_tail)(12);
-    cluster.simulator().run_until(sim::seconds(15));
+    for (const Input input : {Input{1, 0, 1, 1}, Input{2, 1, 0, 3}}) {
+        SCOPED_TRACE("shards=" + std::to_string(input.shards));
+        auto params = recovery_params(904);
+        params.base.shard_count = input.shards;
+        if (input.shards > 1) {
+            // k0, k1 on shard 0; k2, k3 on shard 1.
+            params.map = troxy_core::ShardMap::split_evenly(
+                {"k0", "k1", "k2", "k3"}, input.shards);
+            params.front.upstream = params.client;
+        }
+        bench::TroxyCluster cluster(std::move(params));
+        auto& client = input.shards == 1 ? cluster.add_client(input.replica)
+                                         : cluster.add_client();
 
-    EXPECT_TRUE(tail_done);
-    EXPECT_EQ(cluster.host(1).enclave_recoveries(), 1u);
-    // Ordering kept working across the swap: the certified handover
-    // carried the trusted counters into the fresh instance (a reset
-    // would have broken the continuing-certificate chain).
-    EXPECT_GT(cluster.host(1).replica().last_executed(), 8u);
+        bool warm = false;
+        drive_writes(cluster, client, 8, 4, [&]() { warm = true; });
+        cluster.simulator().run_until(sim::seconds(3));
+        ASSERT_TRUE(warm);
+
+        // Kick the recovery, then immediately keep writing through the
+        // host whose enclave is down.
+        ASSERT_TRUE(cluster.recover_enclave(input.shard, input.replica));
+        // One in flight already.
+        EXPECT_FALSE(cluster.recover_enclave(input.shard, input.replica));
+
+        // Linearizable for this sequential client: every write acks a
+        // newer version than the one before, and a final read returns
+        // the last acked version.
+        std::uint64_t last_version = 0;
+        int stale_acks = 0;
+        bool read_ok = false;
+        auto issue_tail = std::make_shared<std::function<void(int)>>();
+        *issue_tail = [&](int left) {
+            if (left == 0) {
+                client.send(EchoService::make_read(input.key, 32, 64),
+                            [&](Bytes reply) {
+                                read_ok =
+                                    reply == EchoService::expected_read_reply(
+                                                 input.key, last_version, 64);
+                            });
+                return;
+            }
+            client.send(EchoService::make_write(input.key, 64),
+                        [&, left](Bytes ack) {
+                            std::uint64_t version = 0;
+                            if (ack.size() == 10 && ack[0] == 1) {
+                                Reader r(ByteView(ack.data() + 1, 8));
+                                version = r.u64();
+                            }
+                            if (version <= last_version) ++stale_acks;
+                            last_version = std::max(last_version, version);
+                            (*issue_tail)(left - 1);
+                        });
+        };
+        (*issue_tail)(12);
+        cluster.simulator().run_until(sim::seconds(15));
+
+        EXPECT_GE(last_version, 12u);
+        EXPECT_TRUE(read_ok);
+        EXPECT_EQ(stale_acks, 0);
+        auto& host = cluster.host(input.shard, input.replica);
+        EXPECT_EQ(host.enclave_recoveries(), 1u);
+        // Ordering kept working across the swap: the certified handover
+        // carried the trusted counters into the fresh instance (a reset
+        // would have broken the continuing-certificate chain).
+        EXPECT_GT(host.replica().last_executed(), 8u);
+    }
 }
 
 // Periodic schedule: every enclave in the fleet recovers at least once,
@@ -459,15 +501,15 @@ TEST(Recovery, PeriodicScheduleRecoversWholeFleet) {
 // client loop, with zero linearizability violations and full liveness.
 TEST(Recovery, RollingRestartChaosStaysLinearizable) {
     bench::ChaosOptions options;
-    options.seed = 906;
+    options.cluster.seed = 906;
     options.clients = 3;
     options.requests_per_client = 30;
     options.rolling_restart = true;
-    options.enclave_recovery_period = sim::seconds(3);
+    options.host.enclave_recovery_period = sim::seconds(3);
     options.fault_start = sim::seconds(1);
     options.heal_by = sim::seconds(7);
     options.horizon = sim::seconds(30);
-    options.state_chunk_size = 64;
+    options.cluster.state_chunk_size = 64;
 
     const bench::ChaosReport report = bench::run_chaos(options);
     EXPECT_TRUE(report.ok()) << report.plan_trace

@@ -2,7 +2,7 @@
 // consistent-hash ring, shard-knob validation, the zero-copy
 // StateResponse framing split, the per-key lock table and the pipelined
 // cross-shard commit engine, the multi-front failover path, chaos under
-// shard-leader and front crashes, and S=1 byte-parity with the unsharded
+// shard-leader and front crashes, and pinned golden outputs of the S=1
 // deployment.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "bench_support/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+#include "crypto/sha256.hpp"
 #include "hybster/messages.hpp"
 #include "troxy/shard_front.hpp"
 #include "troxy/shard_router.hpp"
@@ -290,7 +291,7 @@ TEST(CrossLockTable, StressRandomOverlapsDrainInPerKeyAdmissionOrder) {
 
 TEST(ShardCluster, RejectsInvalidFrontCounts) {
     auto make_params = [](int shards, int fronts) {
-        bench::ShardedTroxyCluster::Params params;
+        bench::TroxyCluster::Params params;
         params.base.shard_count = shards;
         params.base.front_count = fronts;
         params.service = []() { return std::make_unique<EchoService>(); };
@@ -303,20 +304,31 @@ TEST(ShardCluster, RejectsInvalidFrontCounts) {
         }
         return params;
     };
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(make_params(2, 0)),
+    EXPECT_THROW(bench::TroxyCluster cluster(make_params(2, 0)),
                  std::invalid_argument);
     // Fronts only exist over a sharded deployment.
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(make_params(1, 2)),
+    EXPECT_THROW(bench::TroxyCluster cluster(make_params(1, 2)),
                  std::invalid_argument);
-    bench::ShardedTroxyCluster two_fronts(make_params(2, 2));
+    bench::TroxyCluster two_fronts(make_params(2, 2));
     EXPECT_EQ(two_fronts.front_count(), 2);
     EXPECT_NE(two_fronts.front(), nullptr);
+
+    // The chaos harness builds the same cluster and gets the same
+    // verdict: no shard count below one, no fronts over one shard.
+    auto chaos_with = [](int shards, int fronts) {
+        bench::ChaosOptions options;
+        options.cluster.shard_count = shards;
+        options.cluster.front_count = fronts;
+        return options;
+    };
+    EXPECT_THROW(bench::run_chaos(chaos_with(0, 1)), std::invalid_argument);
+    EXPECT_THROW(bench::run_chaos(chaos_with(1, 2)), std::invalid_argument);
 }
 
 // ------------------------------------------------- cluster shard knobs
 
 TEST(ShardCluster, RejectsShardCountOverReplicaBudget) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.shard_count = 4;
     params.base.replica_budget = 6;  // 4 shards x 3 replicas = 12 > 6
     params.service = []() { return std::make_unique<EchoService>(); };
@@ -324,19 +336,19 @@ TEST(ShardCluster, RejectsShardCountOverReplicaBudget) {
         return EchoService().classify(request);
     };
     params.map = ShardMap::split_evenly({"k0", "k1", "k2", "k3"}, 4);
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(std::move(params)),
+    EXPECT_THROW(bench::TroxyCluster cluster(std::move(params)),
                  std::invalid_argument);
 }
 
 TEST(ShardCluster, RejectsMapShardCountMismatch) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.shard_count = 4;
     params.service = []() { return std::make_unique<EchoService>(); };
     params.classifier = [](ByteView request) {
         return EchoService().classify(request);
     };
     params.map = ShardMap(std::vector<std::string>{"m"});  // 2 shards
-    EXPECT_THROW(bench::ShardedTroxyCluster cluster(std::move(params)),
+    EXPECT_THROW(bench::TroxyCluster cluster(std::move(params)),
                  std::invalid_argument);
 }
 
@@ -383,7 +395,7 @@ TEST(ShardWire, StateResponseHeadTailSplitMatchesEncode) {
 // --------------------------------------------- cross-shard commit, e2e
 
 TEST(ShardFront, CrossShardMultiwriteCommitsOnBothShards) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.seed = 3;
     params.base.shard_count = 2;
     params.service = []() { return std::make_unique<EchoService>(); };
@@ -393,7 +405,7 @@ TEST(ShardFront, CrossShardMultiwriteCommitsOnBothShards) {
     // Sorted universe k0 k1 k2 k3 → boundary "k2": shard 0 owns
     // {k0, k1}, shard 1 owns {k2, k3}.
     params.map = ShardMap::split_evenly({"k0", "k1", "k2", "k3"}, 2);
-    bench::ShardedTroxyCluster cluster(std::move(params));
+    bench::TroxyCluster cluster(std::move(params));
     ASSERT_NE(cluster.front(), nullptr);
     EXPECT_EQ(cluster.front()->map().shard_of("k2"), 1);
 
@@ -459,9 +471,9 @@ TEST(ShardFront, CrossShardMultiwriteCommitsOnBothShards) {
 
 namespace pipelined {
 
-bench::ShardedTroxyCluster::Params two_shard_params(
+bench::TroxyCluster::Params two_shard_params(
     std::size_t depth, std::uint64_t seed = 5, int fronts = 1) {
-    bench::ShardedTroxyCluster::Params params;
+    bench::TroxyCluster::Params params;
     params.base.seed = seed;
     params.base.shard_count = 2;
     params.base.front_count = fronts;
@@ -489,7 +501,7 @@ std::uint64_t ack_version(const Bytes& ack) {
 // forced through the serialized lane — never more than one in flight.
 TEST(ShardFront, NonOverlappingCommitsPipelineAtDepthZero) {
     for (const std::size_t depth : {std::size_t{0}, std::size_t{1}}) {
-        bench::ShardedTroxyCluster cluster(
+        bench::TroxyCluster cluster(
             pipelined::two_shard_params(depth));
         auto& client = cluster.add_client();
         std::vector<Bytes> acks;
@@ -525,7 +537,7 @@ TEST(ShardFront, NonOverlappingCommitsPipelineAtDepthZero) {
 // lock table must run them one at a time, in admission order, and the
 // per-key wait counters must attribute the queueing to k0 and k2.
 TEST(ShardFront, ConflictingCommitsQueuePerKeyInAdmissionOrder) {
-    bench::ShardedTroxyCluster cluster(pipelined::two_shard_params(0));
+    bench::TroxyCluster cluster(pipelined::two_shard_params(0));
     auto& client = cluster.add_client();
     std::vector<Bytes> acks;
     client.start([&]() {
@@ -564,13 +576,15 @@ TEST(ShardFront, ConflictingCommitsQueuePerKeyInAdmissionOrder) {
 // reduced to an executable check.
 TEST(ShardFront, DepthZeroAndDepthOneAreByteIdenticalWhenSequential) {
     auto drive = [](std::size_t depth) {
-        bench::ShardedTroxyCluster cluster(
+        bench::TroxyCluster cluster(
             pipelined::two_shard_params(depth, 17));
         auto& client = cluster.add_client();
         auto replies = std::make_shared<std::vector<Bytes>>();
         auto chain = std::make_shared<std::function<void(int)>>();
-        *chain = [&client, chain, replies](int remaining) {
-            if (remaining == 0) return;
+        *chain = [&client, weak = std::weak_ptr(chain),
+                  replies](int remaining) {
+            const auto self = weak.lock();
+            if (remaining == 0 || !self) return;
             Bytes request;
             switch (remaining % 3) {
                 case 0:
@@ -584,9 +598,9 @@ TEST(ShardFront, DepthZeroAndDepthOneAreByteIdenticalWhenSequential) {
                     break;
             }
             client.send(std::move(request),
-                        [chain, replies, remaining](Bytes reply) {
+                        [self, replies, remaining](Bytes reply) {
                             replies->push_back(std::move(reply));
-                            (*chain)(remaining - 1);
+                            (*self)(remaining - 1);
                         });
         };
         client.start([chain]() { (*chain)(12); });
@@ -612,18 +626,19 @@ TEST(ShardFront, ClientFailsOverToNextFrontWhenHomeFrontCrashes) {
     auto params = pipelined::two_shard_params(0, 7, /*fronts=*/2);
     params.client.connection_timeout = sim::milliseconds(200);
     params.client.backoff_cap = sim::milliseconds(1000);
-    bench::ShardedTroxyCluster cluster(std::move(params));
+    bench::TroxyCluster cluster(std::move(params));
     ASSERT_EQ(cluster.front_count(), 2);
 
     auto& client = cluster.add_client();
     std::vector<Bytes> acks;
     auto chain = std::make_shared<std::function<void(int)>>();
-    *chain = [&client, &acks, chain](int remaining) {
-        if (remaining == 0) return;
+    *chain = [&client, &acks, weak = std::weak_ptr(chain)](int remaining) {
+        const auto self = weak.lock();
+        if (remaining == 0 || !self) return;
         client.send(EchoService::make_multi_write(0, 2, 64),
-                    [&acks, chain, remaining](Bytes reply) {
+                    [&acks, self, remaining](Bytes reply) {
                         acks.push_back(std::move(reply));
-                        (*chain)(remaining - 1);
+                        (*self)(remaining - 1);
                     });
     };
     client.start([chain]() { (*chain)(20); });
@@ -676,8 +691,8 @@ std::string report_summary(const bench::ChaosReport& report) {
 // in flight; the run must stay linearizable and complete once healed.
 TEST(ShardChaos, ShardLeaderCrashDuringCrossShardCommits) {
     bench::ChaosOptions options;
-    options.seed = 9;
-    options.shards = 2;
+    options.cluster.seed = 9;
+    options.cluster.shard_count = 2;
     options.cross_shard_fraction = 0.4;
     options.clients = 3;
     options.requests_per_client = 30;
@@ -704,9 +719,9 @@ TEST(ShardChaos, ShardLeaderCrashDuringCrossShardCommits) {
 // rejoins the tier.
 TEST(ShardChaos, FrontCrashWithTwoFrontsStaysLinearizable) {
     bench::ChaosOptions options;
-    options.seed = 11;
-    options.shards = 2;
-    options.fronts = 2;
+    options.cluster.seed = 11;
+    options.cluster.shard_count = 2;
+    options.cluster.front_count = 2;
     options.cross_shard_fraction = 0.5;
     options.clients = 5;
     options.requests_per_client = 30;
@@ -730,75 +745,87 @@ TEST(ShardChaos, FrontCrashWithTwoFrontsStaysLinearizable) {
 
 // ------------------------------------------------------ S=1 byte parity
 
-// The same workload on the unsharded TroxyCluster and on a
-// ShardedTroxyCluster with shard_count = 1 must produce identical
-// replies AND identical network totals: sharding off is byte-identical,
-// not just equivalent.
-TEST(ShardParity, SingleShardReplaysUnshardedByteIdentically) {
+// ------------------------------------------------------- golden outputs
+
+// Pinned outputs of the single-group (S = 1) deployment. A moved default
+// (ClusterOptions, host, client or chaos options), a change in how the
+// builder wires the group, or a change in the protocol's message flow
+// shows up here as a different reply digest or network total.
+TEST(Golden, SingleGroupReplaysPinnedReplies) {
     constexpr int kClients = 2;
     constexpr int kRequests = 12;
 
-    auto drive = [](auto& cluster) {
-        std::vector<troxy_core::LegacyClient*> clients;
-        for (int c = 0; c < kClients; ++c) {
-            clients.push_back(&cluster.add_client());
-        }
-        auto replies = std::make_shared<std::vector<Bytes>>();
-        for (int c = 0; c < kClients; ++c) {
-            troxy_core::LegacyClient* client = clients[
-                static_cast<std::size_t>(c)];
-            auto chain = std::make_shared<std::function<void(int)>>();
-            *chain = [client, c, chain, replies](int remaining) {
-                if (remaining == 0) return;
-                const auto key = static_cast<std::uint64_t>(c);
-                Bytes request =
-                    remaining % 2 == 0
-                        ? EchoService::make_write(key, 64)
-                        : EchoService::make_read(key, 32, 96);
-                client->send(std::move(request),
-                             [chain, replies, remaining](Bytes reply) {
-                                 replies->push_back(std::move(reply));
-                                 (*chain)(remaining - 1);
-                             });
-            };
-            client->start([chain]() { (*chain)(kRequests); });
-        }
-        cluster.simulator().run_until(sim::seconds(5));
-        return std::make_tuple(*replies,
-                               cluster.network().messages_sent(),
-                               cluster.network().bytes_sent());
-    };
-
-    bench::TroxyCluster::Params flat_params;
-    flat_params.base.seed = 21;
-    flat_params.base.coalesce_wire = true;
-    flat_params.host.coalesce_wire = true;
-    flat_params.service = []() { return std::make_unique<EchoService>(); };
-    flat_params.classifier = [](ByteView request) {
+    bench::TroxyCluster::Params params;
+    params.base.seed = 21;
+    params.base.coalesce_wire = true;
+    params.host.coalesce_wire = true;
+    params.service = []() { return std::make_unique<EchoService>(); };
+    params.classifier = [](ByteView request) {
         return EchoService().classify(request);
     };
-    bench::TroxyCluster flat(flat_params);
-    const auto flat_result = drive(flat);
+    bench::TroxyCluster cluster(std::move(params));
+    EXPECT_EQ(cluster.shards(), 1);
+    EXPECT_EQ(cluster.front(), nullptr);
 
-    bench::ShardedTroxyCluster::Params sharded_params;
-    sharded_params.base.seed = 21;
-    sharded_params.base.coalesce_wire = true;
-    sharded_params.host.coalesce_wire = true;
-    sharded_params.base.shard_count = 1;
-    sharded_params.service = []() {
-        return std::make_unique<EchoService>();
-    };
-    sharded_params.classifier = [](ByteView request) {
-        return EchoService().classify(request);
-    };
-    bench::ShardedTroxyCluster sharded(std::move(sharded_params));
-    EXPECT_EQ(sharded.shards(), 1);
-    EXPECT_EQ(sharded.front(), nullptr);
-    const auto sharded_result = drive(sharded);
+    std::vector<troxy_core::LegacyClient*> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.push_back(&cluster.add_client());
+    }
+    auto replies = std::make_shared<std::vector<Bytes>>();
+    for (int c = 0; c < kClients; ++c) {
+        troxy_core::LegacyClient* client =
+            clients[static_cast<std::size_t>(c)];
+        // The chain holds itself weakly (a strong self-capture is a
+        // shared_ptr cycle); in-flight callbacks keep it alive.
+        auto chain = std::make_shared<std::function<void(int)>>();
+        *chain = [client, c, weak = std::weak_ptr(chain),
+                  replies](int remaining) {
+            const auto self = weak.lock();
+            if (remaining == 0 || !self) return;
+            const auto key = static_cast<std::uint64_t>(c);
+            Bytes request = remaining % 2 == 0
+                                ? EchoService::make_write(key, 64)
+                                : EchoService::make_read(key, 32, 96);
+            client->send(std::move(request),
+                         [self, replies, remaining](Bytes reply) {
+                             replies->push_back(std::move(reply));
+                             (*self)(remaining - 1);
+                         });
+        };
+        client->start([chain]() { (*chain)(kRequests); });
+    }
+    cluster.simulator().run_until(sim::seconds(5));
 
-    EXPECT_EQ(std::get<0>(flat_result), std::get<0>(sharded_result));
-    EXPECT_EQ(std::get<1>(flat_result), std::get<1>(sharded_result));
-    EXPECT_EQ(std::get<2>(flat_result), std::get<2>(sharded_result));
+    // Digest over the replies in arrival order, each length-prefixed.
+    Writer all;
+    for (const Bytes& reply : *replies) all.bytes(reply);
+    EXPECT_EQ(replies->size(),
+              static_cast<std::size_t>(kClients * kRequests));
+    EXPECT_EQ(hex_encode(crypto::sha256_bytes(all.data())),
+              "4e691a6e120801f736267ae4503061db"
+              "bcf8c352f81b8324296716ab4d9758c3");
+    EXPECT_EQ(cluster.network().messages_sent(), 244u);
+    EXPECT_EQ(cluster.network().bytes_sent(), 34492u);
+}
+
+// Pinned report of one chaos run (seed 3, batched voting over a
+// coalesced wire, random fault plan): the same counters every chaos
+// determinism test compares run against run, fixed in value.
+TEST(Golden, ChaosSeedReplaysPinnedReport) {
+    bench::ChaosOptions options;
+    options.cluster.seed = 3;
+    options.cluster.coalesce_wire = true;
+    options.host.coalesce_wire = true;
+    options.host.voter_batch_max = 8;
+    options.think_time = sim::milliseconds(20);
+    const bench::ChaosReport report = bench::run_chaos(options);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.messages_sent, 1118u);
+    EXPECT_EQ(report.bytes_sent, 156369u);
+    EXPECT_EQ(report.completed, 120u);
+    EXPECT_EQ(hex_encode(crypto::sha256_bytes(to_bytes(report.plan_trace))),
+              "cce8632c25241be054bb914b1d179ccd"
+              "704b47d5fc85df31568c19eea9bc256c");
 }
 
 }  // namespace
