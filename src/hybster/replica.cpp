@@ -20,6 +20,15 @@ Bytes store_key(const crypto::Sha256Digest& d) {
     return Bytes(d.begin(), d.end());
 }
 
+/// The f+1 certified votes behind a checkpoint, as a stability proof.
+std::vector<CheckpointMsg> proof_from(
+    const std::map<std::uint32_t, CheckpointMsg>& votes) {
+    std::vector<CheckpointMsg> proof;
+    proof.reserve(votes.size());
+    for (const auto& [replica, vote] : votes) proof.push_back(vote);
+    return proof;
+}
+
 /// Bound on the have-chunks list a StateRequest advertises: enough for
 /// snapshots far beyond anything the sim runs, while keeping a
 /// pathological store from inflating the request past the wire cap.
@@ -583,47 +592,74 @@ void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
     if (executed_since_checkpoint_ < config_.checkpoint_interval) return;
     executed_since_checkpoint_ = 0;
     const SequenceNumber seq = last_executed_;
-    Bytes snapshot = service_->checkpoint();
-    // The certified digest IS the Merkle root over the snapshot's chunks,
-    // which is what lets state transfer ship the checkpoint incrementally
-    // under the same certificate chain.
+    // Capture: a consistent copy of the state at `seq` must be taken
+    // before the next request executes, so it stays on the ordered path.
+    const Bytes snapshot = service_->checkpoint();
+    crypto.charge_copy(snapshot.size());
+    // Digest: the certified digest IS the Merkle root over the snapshot's
+    // chunks, which is what lets state transfer ship the checkpoint
+    // incrementally under the same certificate chain. Leaf hashes and
+    // root are metered on their own and run on a spare core once the
+    // capture is done, so the handler's egress never waits for them.
+    enclave::CostMeter digest_meter;
+    enclave::CostedCrypto digest_crypto(profile_, digest_meter);
     ChunkedSnapshot chunked =
-        chunk_snapshot(crypto, snapshot, config_.state_chunk_size);
+        chunk_snapshot(digest_crypto, snapshot, config_.state_chunk_size);
+    outbox.defer([this, generation = checkpoint_generation_, seq,
+                  cost = digest_meter.take(),
+                  chunked = std::move(chunked)]() mutable {
+        node_.exec(cost, [this, generation, seq,
+                          chunked = std::move(chunked)]() mutable {
+            complete_checkpoint(generation, seq, std::move(chunked));
+        });
+    });
+}
+
+void Replica::complete_checkpoint(std::uint64_t generation,
+                                  SequenceNumber seq,
+                                  ChunkedSnapshot chunked) {
+    // A digest that outlived a crash (restart() bumped the generation) or
+    // whose checkpoint a state transfer already overtook is stale.
+    if (faults_.crashed || generation != checkpoint_generation_ ||
+        seq <= last_stable_) {
+        return;
+    }
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(profile_, meter);
+    net::Outbox outbox = make_outbox();
+
     CheckpointMsg cp;
     cp.seq = seq;
     cp.state_digest = chunked.root;
     cp.replica = id_;
     cp.cert = trinx_->certify_independent(crypto, cp.certified_view());
-
-    own_checkpoints_[seq] = std::move(snapshot);
     own_chunks_[seq] = std::move(chunked);
 
     const Bytes digest_key(cp.state_digest.begin(), cp.state_digest.end());
     auto& votes = checkpoint_votes_[seq][digest_key];
     votes.emplace(id_, cp);
-
     broadcast(outbox, Message(cp));
 
-    // f+1 votes might already be present (we could be last to checkpoint).
+    // f+1 votes might already be present (peers' votes can arrive while
+    // our digest runs).
     if (static_cast<int>(votes.size()) >= config_.quorum()) {
-        if (seq > last_stable_) {
-            last_stable_ = seq;
-            stable_proof_.clear();
-            for (const auto& [replica, vote] : votes) {
-                stable_proof_.push_back(vote);
-            }
-            log_.erase(log_.begin(), log_.upper_bound(seq));
-            checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                                    checkpoint_votes_.upper_bound(seq - 1));
-            // Keep only the newest own snapshot.
-            while (own_checkpoints_.size() > 1) {
-                own_checkpoints_.erase(own_checkpoints_.begin());
-            }
-            while (own_chunks_.size() > 1) {
-                own_chunks_.erase(own_chunks_.begin());
-            }
-            rebuild_chunk_store(own_chunks_.at(seq));
-        }
+        stabilize(seq, proof_from(votes));
+    }
+    outbox.flush(meter);
+}
+
+void Replica::stabilize(SequenceNumber seq,
+                        std::vector<CheckpointMsg> proof) {
+    last_stable_ = seq;
+    stable_proof_ = std::move(proof);
+    log_.erase(log_.begin(), log_.upper_bound(seq));
+    checkpoint_votes_.erase(checkpoint_votes_.begin(),
+                            checkpoint_votes_.upper_bound(seq - 1));
+    // Only the stable snapshot is ever served; older ones are dead
+    // weight. Newer ones still wait for their own quorum.
+    own_chunks_.erase(own_chunks_.begin(), own_chunks_.lower_bound(seq));
+    if (const auto it = own_chunks_.find(seq); it != own_chunks_.end()) {
+        rebuild_chunk_store(it->second);
     }
 }
 
@@ -649,18 +685,8 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     // Stability requires f+1 matching checkpoints *including our own*
     // (we can only truncate state we have actually reached).
     if (static_cast<int>(votes.size()) >= config_.quorum() &&
-        votes.contains(id_) && seq > last_stable_) {
-        last_stable_ = seq;
-        stable_proof_.clear();
-        for (const auto& [replica, vote] : votes) {
-            stable_proof_.push_back(vote);
-        }
-        log_.erase(log_.begin(), log_.upper_bound(seq));
-        checkpoint_votes_.erase(checkpoint_votes_.begin(),
-                                checkpoint_votes_.upper_bound(seq - 1));
-        if (const auto it = own_chunks_.find(seq); it != own_chunks_.end()) {
-            rebuild_chunk_store(it->second);
-        }
+        votes.contains(id_)) {
+        stabilize(seq, proof_from(votes));
         return;
     }
 
@@ -949,7 +975,6 @@ void Replica::restart(ServicePtr fresh_service) {
     log_.clear();
     clients_.clear();
     checkpoint_votes_.clear();
-    own_checkpoints_.clear();
     forwarded_.clear();
     view_changes_rx_.clear();
     stable_proof_.clear();
@@ -970,6 +995,7 @@ void Replica::restart(ServicePtr fresh_service) {
     in_flight_.clear();
     batch_timer_armed_ = false;
     ++batch_timer_generation_;  // invalidate batch timers from before
+    ++checkpoint_generation_;   // drop checkpoint digests still running
     executed_since_checkpoint_ = 0;
 
     begin_rejoin();
@@ -1358,13 +1384,8 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
     rebuild_in_flight();  // possibly unexecuted entries were dropped
     if (last_stable > 0) {
         service_->restore(snapshot);
-        rebuild_chunk_store(chunked);
-        own_checkpoints_[last_stable] = std::move(snapshot);
         own_chunks_[last_stable] = std::move(chunked);
-        stable_proof_ = std::move(proof);
-        checkpoint_votes_.erase(
-            checkpoint_votes_.begin(),
-            checkpoint_votes_.upper_bound(last_stable - 1));
+        stabilize(last_stable, std::move(proof));
     }
     // Match highest_view_change_sent_ to the adopted view so the forced
     // view change below is not suppressed by a pre-crash value.

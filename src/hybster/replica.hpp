@@ -20,10 +20,12 @@
 //   across the batch; batch_size_max = 1 reproduces the unbatched flow.
 //
 // Checkpoints every `checkpoint_interval` executed *requests* (batch
-// members) garbage-collect the log; view changes replace an unresponsive
-// leader using certified VIEW-CHANGE/NEW-VIEW messages carrying the
-// prepared-batch history (an uncut pending batch is folded back into the
-// forwarded set and re-proposed in the new view).
+// members) garbage-collect the log (the state capture stays on the
+// ordered path, its Merkle digest runs on a spare core); view changes
+// replace an unresponsive leader using certified VIEW-CHANGE/NEW-VIEW
+// messages carrying the prepared-batch history (an uncut pending batch
+// is folded back into the forwarded set and re-proposed in the new
+// view).
 //
 // The replica itself is *untrusted* code — it may be subjected to fault
 // injection (crash, reply dropping/corruption) — while every certificate
@@ -221,6 +223,12 @@ class Replica {
         return state_stats_;
     }
 
+    /// Own checkpoint snapshots currently held: the stable one plus any
+    /// newer one whose quorum is still outstanding.
+    [[nodiscard]] std::size_t retained_snapshots() const noexcept {
+        return own_chunks_.size();
+    }
+
     /// Wipes the durable chunk store — models losing the on-disk snapshot
     /// area in addition to the crash. Test/bench hook for measuring the
     /// full-transfer baseline.
@@ -290,7 +298,16 @@ class Replica {
     void execute_entry(enclave::CostedCrypto& crypto, net::Outbox& outbox,
                        SequenceNumber seq, LogEntry& entry);
     [[nodiscard]] bool committed(const LogEntry& entry) const;
+    /// Captures the service state at a checkpoint boundary (a copy on the
+    /// ordered path) and starts its Merkle digest on a spare core.
     void maybe_checkpoint(enclave::CostedCrypto& crypto, net::Outbox& outbox);
+    /// Digest completion: certifies, records and broadcasts the own vote.
+    void complete_checkpoint(std::uint64_t generation, SequenceNumber seq,
+                             ChunkedSnapshot chunked);
+    /// Makes `seq` the stable checkpoint with `proof` as its f+1 votes:
+    /// truncates log and older votes, keeps only the own snapshot at
+    /// `seq` (and newer), and rebuilds the durable chunk store from it.
+    void stabilize(SequenceNumber seq, std::vector<CheckpointMsg> proof);
 
     // --- view change ---
     void start_view_change(ViewNumber new_view);
@@ -380,10 +397,13 @@ class Replica {
     std::map<SequenceNumber,
              std::map<Bytes, std::map<std::uint32_t, CheckpointMsg>>>
         checkpoint_votes_;
-    std::map<SequenceNumber, Bytes> own_checkpoints_;  // seq → snapshot
-    /// Chunked form of own_checkpoints_ (same keys, pruned together):
-    /// what handle_state_request serves from.
+    /// Own checkpoint snapshots in chunked form (seq → chunks). Holds the
+    /// stable checkpoint — what handle_state_request serves — plus any
+    /// newer one still waiting for its quorum; stabilize() drops the rest.
     std::map<SequenceNumber, ChunkedSnapshot> own_chunks_;
+    /// Bumped by restart(): a checkpoint digest still running on a spare
+    /// core when the replica crashed is dropped on completion.
+    std::uint64_t checkpoint_generation_ = 0;
     /// The f+1 certified votes that made last_stable_ stable; attached to
     /// StateResponses so one response suffices to prove the snapshot.
     std::vector<CheckpointMsg> stable_proof_;

@@ -13,6 +13,7 @@
 #include "hybster/keys.hpp"
 #include "hybster/messages.hpp"
 #include "hybster/replica.hpp"
+#include "hybster/snapshot.hpp"
 #include "net/envelope.hpp"
 
 namespace troxy::hybster {
@@ -400,14 +401,177 @@ TEST(Replica, DuplicateRequestGetsReplyRetransmission) {
 
 TEST(Replica, CheckpointsTruncateAndStabilize) {
     BareGroup group;  // checkpoint interval 8
-    for (std::uint64_t i = 1; i <= 20; ++i) {
+    // 26 checkpoints: stabilizing one must retire the own snapshots
+    // before it, whichever vote completes the quorum.
+    for (std::uint64_t i = 1; i <= 212; ++i) {
         group.replicas[0]->submit(
             group.make_request(i, apps::EchoService::make_write(1, 32)));
     }
     group.sim.run_until(sim::seconds(3));
     for (const auto& replica : group.replicas) {
-        EXPECT_EQ(replica->last_executed(), 20u);
-        EXPECT_GE(replica->last_stable(), 8u);
+        EXPECT_EQ(replica->last_executed(), 212u);
+        EXPECT_EQ(replica->last_stable(), 208u);
+        EXPECT_LE(replica->retained_snapshots(), 1u);
+    }
+}
+
+/// A BareGroup whose echo state holds 4096 keys (64 KiB, 17 chunks):
+/// eight pre-formed batches of 512 writes, each crossing a checkpoint, so
+/// seq 8 is stable everywhere and the request counter sits at zero.
+/// Returns the last request number used.
+std::uint64_t fill_4096_keys(BareGroup& group) {
+    std::uint64_t number = 0;
+    for (int burst = 0; burst < 8; ++burst) {
+        std::vector<Request> requests;
+        for (int i = 0; i < 512; ++i) {
+            ++number;
+            requests.push_back(group.make_request(
+                number, apps::EchoService::make_write(number, 32)));
+        }
+        group.replicas[0]->submit_prebatched(std::move(requests));
+    }
+    group.sim.run_until(sim::seconds(1));
+    return number;
+}
+
+/// Modeled cost of the Merkle digest over `replica`'s current state.
+sim::Duration digest_cost(BareGroup& group, Replica& replica) {
+    enclave::CostMeter meter;
+    enclave::CostedCrypto crypto(sim::CostProfile::java(), meter);
+    (void)chunk_snapshot(crypto, replica.service().checkpoint(),
+                         group.config.state_chunk_size);
+    return meter.total();
+}
+
+// The checkpoint digest runs on a spare core: a request submitted right
+// after the leader crosses a checkpoint reaches a follower's execution
+// sooner than the digest alone takes, and the checkpoint still
+// stabilizes.
+TEST(Replica, CheckpointDigestDoesNotStallThePipeline) {
+    BareGroup group(1, /*batch_size_max=*/512);
+    std::uint64_t number = fill_4096_keys(group);
+    for (const auto& replica : group.replicas) {
+        ASSERT_EQ(replica->last_executed(), 8u);
+        ASSERT_EQ(replica->last_stable(), 8u);
+    }
+    // Seven single writes (seq 9..15); the eighth (seq 16) crosses the
+    // next checkpoint.
+    for (int i = 0; i < 7; ++i) {
+        group.replicas[0]->submit(group.make_request(
+            ++number, apps::EchoService::make_write(1, 32)));
+    }
+    group.sim.run_until(sim::seconds(2));
+    group.replicas[0]->submit(group.make_request(
+        ++number, apps::EchoService::make_write(1, 32)));
+    while (group.replicas[0]->last_executed() < 16) {
+        ASSERT_TRUE(group.sim.step());
+    }
+    const sim::SimTime crossed = group.sim.now();
+    const sim::Duration digest = digest_cost(group, *group.replicas[0]);
+
+    group.replicas[0]->submit(group.make_request(
+        ++number, apps::EchoService::make_write(1, 32)));
+    while (group.replicas[1]->last_executed() < 17) {
+        ASSERT_TRUE(group.sim.step());
+    }
+    EXPECT_LT(group.sim.now() - crossed, digest);
+
+    group.sim.run_until(sim::seconds(3));
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->last_executed(), 17u);
+        EXPECT_EQ(replica->last_stable(), 16u);
+        EXPECT_EQ(replica->retained_snapshots(), 1u);
+    }
+}
+
+// A replica that crashes while its checkpoint digest runs and restarts
+// before the digest would have completed never sends that checkpoint's
+// vote; it rejoins through state transfer, and the group keeps
+// stabilizing with one history.
+TEST(Replica, RestartDropsCheckpointDigestInFlight) {
+    BareGroup group(1, /*batch_size_max=*/512);
+    std::uint64_t number = fill_4096_keys(group);
+
+    // Record every checkpoint vote of replica 2 that reaches a peer.
+    std::vector<SequenceNumber> votes_from_2;
+    for (std::size_t r = 0; r < 2; ++r) {
+        Replica* replica = group.replicas[r].get();
+        group.fabric.attach(
+            group.config.replicas[r],
+            [replica, &votes_from_2](sim::NodeId from, Bytes message) {
+                auto unwrapped = net::unwrap(message);
+                if (!unwrapped) return;
+                if (const auto decoded = decode_message(unwrapped->second)) {
+                    if (const auto* cp = std::get_if<CheckpointMsg>(&*decoded);
+                        cp != nullptr && cp->replica == 2) {
+                        votes_from_2.push_back(cp->seq);
+                    }
+                }
+                replica->on_message(from, unwrapped->second);
+            });
+    }
+
+    for (int i = 0; i < 8; ++i) {
+        group.replicas[0]->submit(group.make_request(
+            ++number, apps::EchoService::make_write(1, 32)));
+    }
+    // Replica 2 executes seq 16 and captures its state; crash and restart
+    // it in the same instant, well inside the digest's run time. Its
+    // inbound links stay down for a while, so it cannot rejoin (and
+    // legitimately re-vote seq 16) before the old digest would be done.
+    Replica& victim = *group.replicas[2];
+    while (victim.last_executed() < 16) ASSERT_TRUE(group.sim.step());
+    ASSERT_EQ(victim.retained_snapshots(), 1u);  // only seq 8's so far
+    const sim::Duration cut_off = sim::milliseconds(5);
+    ASSERT_LT(digest_cost(group, victim), cut_off);
+    const sim::NodeId victim_node = group.config.replicas[2];
+    for (std::size_t r = 0; r < 2; ++r) {
+        group.network.fail_link(group.config.replicas[r], victim_node);
+    }
+    FaultProfile crash;
+    crash.crashed = true;
+    victim.set_faults(crash);
+    victim.restart(std::make_unique<apps::EchoService>());
+
+    group.sim.run_until(group.sim.now() + cut_off);
+    EXPECT_TRUE(victim.rejoining());
+    EXPECT_EQ(std::count(votes_from_2.begin(), votes_from_2.end(), 16u), 0);
+    for (std::size_t r = 0; r < 2; ++r) {
+        group.network.heal_link(group.config.replicas[r], victim_node);
+    }
+
+    // Sixteen more writes: checkpoints at seq 24 and 32 must stabilize
+    // with the rejoined replica's votes.
+    const std::uint64_t first_tail = number + 1;
+    for (int i = 0; i < 16; ++i) {
+        group.replicas[0]->submit(group.make_request(
+            ++number, apps::EchoService::make_write(2, 32)));
+    }
+    group.sim.run_until(group.sim.now() + sim::seconds(5));
+
+    EXPECT_FALSE(victim.rejoining());
+    EXPECT_GE(victim.state_transfers(), 1u);
+    const Bytes state = group.replicas[0]->service().checkpoint();
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->last_executed(),
+                  group.replicas[0]->last_executed());
+        EXPECT_GE(replica->last_stable(), 32u);
+        EXPECT_EQ(replica->retained_snapshots(), 1u);
+        EXPECT_EQ(replica->service().checkpoint(), state);
+    }
+    // One history: every write executed exactly once, and every replica
+    // that replied to a request returned the same result.
+    auto& echo = static_cast<apps::EchoService&>(group.replicas[0]->service());
+    EXPECT_EQ(echo.version_of(1), 1u + 8u);
+    EXPECT_EQ(echo.version_of(2), 1u + 16u);
+    for (std::uint64_t n = first_tail; n <= number; ++n) {
+        std::optional<Bytes> result;
+        for (const Reply& reply : group.delivered) {
+            if (reply.request_id.number != n) continue;
+            if (!result) result = reply.result;
+            EXPECT_EQ(reply.result, *result) << "request " << n;
+        }
+        EXPECT_GE(group.replies_for(n), 2) << "request " << n;
     }
 }
 

@@ -820,8 +820,8 @@ TEST(Golden, ChaosSeedReplaysPinnedReport) {
     options.think_time = sim::milliseconds(20);
     const bench::ChaosReport report = bench::run_chaos(options);
     EXPECT_TRUE(report.ok());
-    EXPECT_EQ(report.messages_sent, 1118u);
-    EXPECT_EQ(report.bytes_sent, 156369u);
+    EXPECT_EQ(report.messages_sent, 1176u);
+    EXPECT_EQ(report.bytes_sent, 155905u);
     EXPECT_EQ(report.completed, 120u);
     EXPECT_EQ(hex_encode(crypto::sha256_bytes(to_bytes(report.plan_trace))),
               "cce8632c25241be054bb914b1d179ccd"
