@@ -73,8 +73,8 @@ struct Config {
     /// still cuts full batches.
     bool adaptive_batching = false;
 
-    /// How long a non-leader waits for an ordered request it knows about
-    /// before suspecting the leader.
+    /// Time pending work may go without execution progress before a
+    /// replica suspects the leader.
     sim::Duration view_change_timeout = sim::milliseconds(500);
 
     /// Retry interval for checkpoint state transfer while a restarted or

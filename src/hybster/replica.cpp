@@ -254,7 +254,14 @@ void Replica::handle_request(enclave::CostedCrypto& crypto,
         return;
     }
 
-    if (in_view_change_) return;  // ordering paused
+    if (in_view_change_) {
+        // Ordering is paused, but the request must not be lost: keep it
+        // with the forwarded set, which reissue_forwarded() proposes or
+        // re-forwards once the new view is installed.
+        forwarded_.emplace(request.id, std::move(request));
+        arm_progress_timer();
+        return;
+    }
 
     enqueue_for_batch(crypto, outbox, request);
 }
@@ -268,9 +275,12 @@ void Replica::rebuild_in_flight() {
     for (const Request& pending : pending_batch_) {
         in_flight_.insert(pending.id);
     }
-    for (const auto& [seq, entry] : log_) {
-        if (!entry.prepare || entry.executed) continue;
-        for (const Request& member : entry.prepare->batch.requests) {
+    // Entries execute in sequence order: those above last_executed_ are
+    // the unexecuted ones.
+    for (auto it = log_.upper_bound(last_executed_); it != log_.end();
+         ++it) {
+        if (!it->second.prepare) continue;
+        for (const Request& member : it->second.prepare->batch.requests) {
             in_flight_.insert(member.id);
         }
     }
@@ -485,8 +495,7 @@ void Replica::try_execute(enclave::CostedCrypto& crypto,
     for (;;) {
         const SequenceNumber next = last_executed_ + 1;
         const auto it = log_.find(next);
-        if (it == log_.end() || it->second.executed ||
-            !committed(it->second)) {
+        if (it == log_.end() || !committed(it->second)) {
             break;
         }
         execute_entry(crypto, outbox, next, it->second);
@@ -496,7 +505,6 @@ void Replica::try_execute(enclave::CostedCrypto& crypto,
 void Replica::execute_entry(enclave::CostedCrypto& crypto,
                             net::Outbox& outbox, SequenceNumber seq,
                             LogEntry& entry) {
-    entry.executed = true;
     last_executed_ = seq;
 
     // Execute the batch member by member, in batch order; every member
@@ -579,7 +587,7 @@ void Replica::execute_entry(enclave::CostedCrypto& crypto,
     }
 
     maybe_checkpoint(crypto, outbox);
-    arm_progress_timer();
+    restart_stall_clock();
 }
 
 void Replica::maybe_checkpoint(enclave::CostedCrypto& crypto,
@@ -699,44 +707,57 @@ void Replica::handle_checkpoint(enclave::CostedCrypto& crypto,
     }
 }
 
+bool Replica::has_pending_work() const {
+    // Entries at or below last_executed_ are all executed and entries
+    // above it never are (execution is in sequence order), so the log
+    // holds pending work iff its highest slot is above last_executed_.
+    return in_view_change_ || !forwarded_.empty() ||
+           !pending_batch_.empty() ||
+           (!log_.empty() && log_.rbegin()->first > last_executed_);
+}
+
 void Replica::arm_progress_timer() {
-    // Pending work exists if the log holds unexecuted entries, a client
-    // request was forwarded, or a view change is in flight; one timer at a
-    // time is enough.
-    if (timer_armed_ || faults_.crashed || rejoining_) return;
+    if (faults_.crashed || rejoining_) return;
+    if (!has_pending_work()) {
+        stall_since_.reset();
+        return;
+    }
+    if (!stall_since_) stall_since_ = fabric_.simulator().now();
+    // An armed timer fires at or before the deadline: the deadline only
+    // moves later. A running clock always has a timer armed, except
+    // inside the callback below, which re-arms only before the deadline.
+    if (timer_armed_) return;
     timer_armed_ = true;
-    const SequenceNumber executed_at_arm = last_executed_;
-    const ViewNumber view_at_arm = view_;
     const std::uint64_t generation = ++timer_generation_;
 
-    fabric_.simulator().after(config_.view_change_timeout, [this,
-                                                            executed_at_arm,
-                                                            view_at_arm,
-                                                            generation]() {
+    const sim::SimTime deadline = *stall_since_ + config_.view_change_timeout;
+    fabric_.simulator().at(deadline, [this, generation]() {
         if (generation != timer_generation_) return;
         timer_armed_ = false;
-        if (faults_.crashed || rejoining_) return;
-        if (view_ != view_at_arm) return;
-
-        const bool pending =
-            in_view_change_ || !forwarded_.empty() ||
-            !pending_batch_.empty() ||
-            std::any_of(log_.begin(), log_.end(), [](const auto& kv) {
-                return !kv.second.executed;
-            });
-        if (!pending) return;
-
-        if (last_executed_ == executed_at_arm) {
-            // No progress for a full timeout: suspect the leader. If a
-            // view change is already pending, the view change itself has
-            // stalled (the prospective leader may have crashed as well) —
-            // escalate past the highest view we already proposed.
-            start_view_change(
-                std::max(view_, highest_view_change_sent_) + 1);
-        } else {
-            arm_progress_timer();
+        if (faults_.crashed || rejoining_) {
+            stall_since_.reset();
+            return;
         }
+        const bool expired =
+            stall_since_ && fabric_.simulator().now() >=
+                                *stall_since_ + config_.view_change_timeout;
+        if (!expired || !has_pending_work()) {
+            // Progress moved the deadline (re-arm for the remainder) or
+            // nothing is pending any more (the clock stops).
+            arm_progress_timer();
+            return;
+        }
+        // Pending work went a full timeout without execution progress:
+        // suspect the leader. If a view change is already pending, the
+        // view change itself has stalled (the prospective leader may have
+        // crashed as well) — escalate past the highest view we proposed.
+        start_view_change(std::max(view_, highest_view_change_sent_) + 1);
     });
+}
+
+void Replica::restart_stall_clock() {
+    stall_since_.reset();
+    arm_progress_timer();
 }
 
 void Replica::start_view_change(ViewNumber new_view) {
@@ -765,9 +786,10 @@ void Replica::start_view_change(ViewNumber new_view) {
     broadcast(outbox, Message(vc));
     maybe_assemble_new_view(crypto, outbox, new_view);
     outbox.flush(meter);
-    // Keep a timer running: if this view change stalls (lost messages,
-    // crashed prospective leader), the timer escalates to the next view.
-    arm_progress_timer();
+    // The view change is pending work on a fresh stall clock: if it
+    // stalls (lost messages, crashed prospective leader), the deadline
+    // escalates to the next view.
+    restart_stall_clock();
 }
 
 void Replica::handle_view_change(enclave::CostedCrypto& crypto,
@@ -856,12 +878,7 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
         fresh.cert = certified.certificate;
         nv.reproposed.push_back(fresh);
 
-        auto& entry = log_[seq];
-        entry.prepare = fresh;
-        // Slots we already executed before the view change must not look
-        // pending — try_execute() starts above last_executed_ and would
-        // never clear them, leaving the progress timer firing forever.
-        if (seq <= last_executed_) entry.executed = true;
+        log_[seq].prepare = fresh;
         ++next_seq_;
     }
     rebuild_in_flight();  // the log was replaced wholesale above
@@ -876,7 +893,7 @@ void Replica::maybe_assemble_new_view(enclave::CostedCrypto& crypto,
     if (view_start_ > last_executed_ + 1) {
         begin_state_transfer(crypto, outbox);
     }
-    arm_progress_timer();
+    restart_stall_clock();  // the new view is installed
 }
 
 void Replica::reissue_forwarded(enclave::CostedCrypto& crypto,
@@ -942,12 +959,6 @@ void Replica::handle_new_view(enclave::CostedCrypto& crypto,
     for (Prepare& p : new_view.reproposed) {
         handle_prepare(crypto, outbox, std::move(p));
     }
-    // Reproposed slots we already executed before the view change must not
-    // look pending — try_execute() starts above last_executed_ and would
-    // never clear them, leaving the progress timer firing forever.
-    for (auto& [seq, entry] : log_) {
-        if (seq <= last_executed_) entry.executed = true;
-    }
     rebuild_in_flight();  // the log was replaced wholesale above
     reissue_forwarded(crypto, outbox);
     // Sequence gap below the new view's start: the quorum stabilized a
@@ -957,7 +968,7 @@ void Replica::handle_new_view(enclave::CostedCrypto& crypto,
     if (view_start_ > last_executed_ + 1) {
         begin_state_transfer(crypto, outbox);
     }
-    arm_progress_timer();
+    restart_stall_clock();  // the new view is installed
 }
 
 // ---------------------------------------------------------- state transfer
@@ -986,6 +997,7 @@ void Replica::restart(ServicePtr fresh_service) {
     // incremental instead of a full re-download.
     highest_view_change_sent_ = 0;
     in_view_change_ = false;
+    stall_since_.reset();
     timer_armed_ = false;
     ++timer_generation_;  // invalidate timers armed before the crash
     ++state_timer_generation_;
@@ -1387,10 +1399,6 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         own_chunks_[last_stable] = std::move(chunked);
         stabilize(last_stable, std::move(proof));
     }
-    // Match highest_view_change_sent_ to the adopted view so the forced
-    // view change below is not suppressed by a pre-crash value.
-    highest_view_change_sent_ =
-        std::max(highest_view_change_sent_, view_);
     in_view_change_ = false;
 
     if (!was_rejoining && same_view) {
@@ -1399,7 +1407,7 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
         // above the checkpoint is still valid and our counters for this
         // view are in sync, so simply resume executing.
         try_execute(crypto, outbox);
-        arm_progress_timer();
+        restart_stall_clock();  // the snapshot was execution progress
         return;
     }
 
@@ -1408,8 +1416,10 @@ void Replica::adopt_state(enclave::CostedCrypto& crypto, net::Outbox& outbox,
     // views while we waited). A view change fixes both wholesale: the
     // fresh view gives everyone new counter ids starting from a common
     // view_start, and the new leader reproposes the certified log tail
-    // above the checkpoint, which is exactly the suffix we still miss.
-    start_view_change(view_ + 1);
+    // above the checkpoint, which is exactly the suffix we still miss. It
+    // goes past any view we already proposed: one still in flight would
+    // suppress it and leave us ordering in a view whose counters moved.
+    start_view_change(std::max(view_, highest_view_change_sent_) + 1);
 }
 
 }  // namespace troxy::hybster

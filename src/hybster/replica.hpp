@@ -22,10 +22,12 @@
 // Checkpoints every `checkpoint_interval` executed *requests* (batch
 // members) garbage-collect the log (the state capture stays on the
 // ordered path, its Merkle digest runs on a spare core); view changes
-// replace an unresponsive leader using certified VIEW-CHANGE/NEW-VIEW
-// messages carrying the prepared-batch history (an uncut pending batch
-// is folded back into the forwarded set and re-proposed in the new
-// view).
+// replace an unresponsive leader — suspected once pending work went
+// view_change_timeout without execution progress — using certified
+// VIEW-CHANGE/NEW-VIEW messages carrying the prepared-batch history (an
+// uncut pending batch, and any request that reaches the leader during
+// the view change, is folded into the forwarded set and re-proposed in
+// the new view).
 //
 // The replica itself is *untrusted* code — it may be subjected to fault
 // injection (crash, reply dropping/corruption) — while every certificate
@@ -238,7 +240,6 @@ class Replica {
     struct LogEntry {
         std::optional<Prepare> prepare;
         std::map<std::uint32_t, Commit> commits;
-        bool executed = false;
     };
 
     // --- message handlers (all charge costs to the passed meter) ---
@@ -315,7 +316,16 @@ class Replica {
                                  net::Outbox& outbox, ViewNumber view);
     void reissue_forwarded(enclave::CostedCrypto& crypto,
                            net::Outbox& outbox);
+    /// Pending work: forwarded requests, an uncut batch, a log entry
+    /// above last_executed_ or a view change in flight. O(1).
+    [[nodiscard]] bool has_pending_work() const;
+    /// Starts the stall clock when pending work appears on an idle
+    /// replica, stops it when nothing is pending, and keeps one timer
+    /// scheduled for the deadline stall_since_ + view_change_timeout.
     void arm_progress_timer();
+    /// Progress (an executed entry, a view-change start, an installed
+    /// NewView): the stall clock restarts now if work is still pending.
+    void restart_stall_clock();
 
     // --- plumbing ---
     /// Builds the per-handler send buffer; coalesces destination bursts
@@ -419,8 +429,10 @@ class Replica {
     /// banking or rebuilding never copies chunk payloads.
     std::map<Bytes, std::shared_ptr<const Bytes>> chunk_store_;
 
-    // Requests forwarded to the leader but not yet executed locally; a
-    // non-empty set keeps the progress timer armed so an unresponsive
+    // Requests forwarded to the leader but not yet executed locally, plus
+    // requests a leader could not order (an uncut batch at view-change
+    // start, or a request that arrived during the view change); a
+    // non-empty set is pending work on the stall clock, so an unresponsive
     // leader is eventually suspected, and pending requests are re-ordered
     // or re-forwarded after a view change (they may have died with the
     // old leader).
@@ -431,6 +443,10 @@ class Replica {
     ViewNumber highest_view_change_sent_ = 0;
     bool in_view_change_ = false;
     std::uint64_t view_changes_ = 0;
+    // Stall clock: when the current stall began; empty while nothing is
+    // pending. The one armed progress timer fires at or before
+    // stall_since_ + view_change_timeout.
+    std::optional<sim::SimTime> stall_since_;
     std::uint64_t timer_generation_ = 0;
     bool timer_armed_ = false;
 

@@ -58,6 +58,22 @@ TEST(Chaos, RandomSchedulesAcrossSeeds) {
     }
 }
 
+// A live replica that falls behind a stable checkpoint while its own
+// view-change proposal is ahead of its view adopts a snapshot, and must
+// then force a view change past that proposal. Suppressing it left the
+// replica ordering in a view whose counters had moved on, which tripped
+// the leader's counter-continuity assertion. These random schedules
+// reach that state.
+TEST(Chaos, StateTransferDuringEscalatedViewChange) {
+    for (const std::uint64_t seed : {4706u, 7082u, 22714u}) {
+        bench::ChaosOptions options;
+        options.cluster.seed = seed;
+        const bench::ChaosReport report = bench::run_chaos(options);
+        EXPECT_TRUE(report.ok())
+            << "seed " << seed << ": " << report_summary(report);
+    }
+}
+
 // Replaying the same seed yields the same fault schedule, the same
 // message interleaving and the same drop decisions — bit-identical
 // counters. A different seed diverges.

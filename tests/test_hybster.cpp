@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "apps/echo_service.hpp"
 #include "apps/kv_service.hpp"
@@ -623,6 +624,155 @@ TEST(Replica, MutedLeaderTriggersViewChange) {
 
     EXPECT_GT(group.replicas[1]->view(), 0u);
     EXPECT_EQ(group.replicas[1]->last_executed(), 1u);
+}
+
+// A request that reaches the leader while it takes part in a view change
+// cannot be ordered yet, but it must not be lost: the leader keeps it and
+// gets it ordered in the new view without the client resubmitting.
+TEST(Replica, LeaderKeepsRequestsDuringViewChange) {
+    BareGroup group;
+    FaultProfile mute;
+    mute.mute_agreement = true;
+    group.replicas[0]->set_faults(mute);
+    group.replicas[1]->submit(
+        group.make_request(1, apps::EchoService::make_write(1, 32)));
+
+    // The muted leader stalls request 1, so the view change starts; stop
+    // the moment the leader has joined it, before the NewView arrives.
+    Replica& leader = *group.replicas[0];
+    while (leader.view_changes() == 0) ASSERT_TRUE(group.sim.step());
+    ASSERT_EQ(leader.view(), 0u);
+    ASSERT_TRUE(leader.is_leader());
+    leader.set_faults(FaultProfile{});
+    leader.submit(group.make_request(2, apps::EchoService::make_write(2, 32)));
+
+    group.sim.run_until(group.sim.now() + sim::seconds(2));
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->view(), 1u);
+        EXPECT_EQ(replica->last_executed(), 2u);
+    }
+    EXPECT_EQ(group.replies_for(2), 3);
+    for (const Reply& reply : group.delivered) {
+        if (reply.request_id.number == 2) {
+            EXPECT_EQ(reply.view, 1u);
+        }
+    }
+}
+
+// ------------------------------------------------------- stall detection
+
+/// Submits one write to `replica` every `interval` from `start` until
+/// `end`, numbering them from `first`; returns the last number used.
+std::uint64_t submit_steadily(BareGroup& group, std::size_t replica,
+                              sim::SimTime start, sim::SimTime end,
+                              sim::Duration interval, std::uint64_t first) {
+    std::uint64_t number = first;
+    for (sim::SimTime t = start; t < end; t += interval, ++number) {
+        group.sim.at(t, [&group, replica, number]() {
+            group.replicas[replica]->submit(group.make_request(
+                number, apps::EchoService::make_write(number % 7, 32)));
+        });
+    }
+    return number - 1;
+}
+
+// Followers suspect a crashed leader one view_change_timeout after the
+// last execution, wherever in the timeout period the crash lands. The
+// crash here comes 5 ms into the second period of a timer armed with the
+// first request, so a whole-period poll (which counts the executions
+// right before the crash as progress) waits about two timeouts.
+TEST(Replica, FollowersSuspectAStalledLeaderAtTheDeadline) {
+    BareGroup group;
+    const sim::Duration timeout = group.config.view_change_timeout;
+    const std::uint64_t last = submit_steadily(
+        group, 1, 0, sim::seconds(2), sim::milliseconds(2), 1);
+    group.sim.at(timeout + sim::milliseconds(5), [&group]() {
+        FaultProfile crash;
+        crash.crashed = true;
+        group.replicas[0]->set_faults(crash);
+    });
+
+    std::array<sim::SimTime, 3> last_execution{};
+    std::array<sim::SimTime, 3> suspected{};
+    std::array<SequenceNumber, 3> executed{};
+    while ((suspected[1] == 0 || suspected[2] == 0) &&
+           group.sim.now() < sim::seconds(2)) {
+        ASSERT_TRUE(group.sim.step());
+        for (std::size_t r = 1; r < 3; ++r) {
+            const Replica& replica = *group.replicas[r];
+            if (suspected[r] != 0) continue;
+            if (replica.view_changes() > 0) {
+                suspected[r] = group.sim.now();
+            } else if (replica.last_executed() != executed[r]) {
+                executed[r] = replica.last_executed();
+                last_execution[r] = group.sim.now();
+            }
+        }
+    }
+    for (std::size_t r = 1; r < 3; ++r) {
+        ASSERT_NE(suspected[r], 0u) << "replica " << r;
+        EXPECT_GE(last_execution[r], timeout) << "replica " << r;
+        EXPECT_LE(suspected[r] - last_execution[r],
+                  timeout + sim::milliseconds(5))
+            << "replica " << r;
+    }
+
+    // The new view orders everything the follower kept forwarding.
+    group.sim.run_until(sim::seconds(3));
+    EXPECT_GT(group.replicas[1]->view(), 0u);
+    EXPECT_EQ(group.replicas[2]->last_executed(),
+              group.replicas[1]->last_executed());
+    EXPECT_EQ(group.replies_for(last), 2);
+}
+
+// The stall clock only runs while work is pending: a replica idle for
+// several timeouts after its last execution and then handed a request
+// whose forward takes most of a timeout must not suspect the leader.
+TEST(Replica, SlowRequestAfterLongIdleIsNoStall) {
+    BareGroup group;
+    const sim::Duration timeout = group.config.view_change_timeout;
+    group.replicas[1]->submit(
+        group.make_request(1, apps::EchoService::make_write(1, 32)));
+    group.sim.run_until(3 * timeout + timeout / 2);
+    ASSERT_EQ(group.replicas[1]->last_executed(), 1u);
+    sim::LinkSpec slow;
+    slow.latency = sim::LatencyModel::constant(timeout * 8 / 10);
+    group.network.set_link(group.config.replicas[1], group.config.replicas[0],
+                           slow);
+    group.replicas[1]->submit(
+        group.make_request(2, apps::EchoService::make_write(1, 32)));
+
+    group.sim.run_until(group.sim.now() + 5 * timeout);
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->last_executed(), 2u);
+        EXPECT_EQ(replica->view_changes(), 0u);
+    }
+}
+
+// Progress keeps restarting the stall clock: twenty timeouts of healthy
+// steady load through every replica never trigger a view change. The
+// leader reaches replica 2 over a slower link, so replica 2 always holds
+// entries it has not executed yet and its clock never stops.
+TEST(Replica, SteadyLoadNeverSuspectsTheLeader) {
+    BareGroup group;
+    const sim::Duration timeout = group.config.view_change_timeout;
+    sim::LinkSpec slower;
+    slower.latency = sim::LatencyModel::constant(sim::milliseconds(5));
+    group.network.set_link(group.config.replicas[0], group.config.replicas[2],
+                           slower);
+    std::uint64_t last = 0;
+    for (std::size_t r = 0; r < 3; ++r) {
+        last = submit_steadily(group, r,
+                               r * sim::microseconds(700),
+                               20 * timeout, sim::milliseconds(2),
+                               last + 1);
+    }
+    group.sim.run_until(20 * timeout + sim::seconds(1));
+    for (const auto& replica : group.replicas) {
+        EXPECT_EQ(replica->view_changes(), 0u);
+        EXPECT_EQ(replica->view(), 0u);
+        EXPECT_EQ(replica->last_executed(), last);
+    }
 }
 
 // ---------------------------------------------------------------- batching
