@@ -39,7 +39,7 @@ int main() {
         std::printf("  [%s] %llu ecall transitions\n",
                     result.row.label.c_str(),
                     static_cast<unsigned long long>(
-                        result.enclave_transitions));
+                        result.troxy.enclave_transitions));
         rows.push_back(result.row);
     }
     print_table("transition-cost sweep", rows);
@@ -62,9 +62,10 @@ int main() {
                 "  [%s] %llu ecall transitions (%llu reply batches, "
                 "%llu batched replies)\n",
                 result.row.label.c_str(),
-                static_cast<unsigned long long>(result.enclave_transitions),
-                static_cast<unsigned long long>(result.reply_batches),
-                static_cast<unsigned long long>(result.batched_replies));
+                static_cast<unsigned long long>(
+                    result.troxy.enclave_transitions),
+                static_cast<unsigned long long>(result.troxy.reply_batches),
+                static_cast<unsigned long long>(result.troxy.batched_replies));
             vote_rows.push_back(result.row);
         }
         print_table("batched voter (calibrated transition cost)",
@@ -94,19 +95,21 @@ int main() {
                 "etroxy, read batch " + std::to_string(read_batch);
             const double per_request =
                 result.row.throughput > 0.0
-                    ? static_cast<double>(result.enclave_transitions) /
-                          (result.fast_read_hits + result.ordered_requests +
-                           1.0)
+                    ? static_cast<double>(result.troxy.enclave_transitions) /
+                          (result.troxy.fast_read_hits +
+                           result.troxy.ordered_requests + 1.0)
                     : 0.0;
             std::printf(
                 "  [%s] %llu ecall transitions (%.2f per served request; "
                 "%llu query batches / %llu batched queries)\n",
                 result.row.label.c_str(),
-                static_cast<unsigned long long>(result.enclave_transitions),
-                per_request,
-                static_cast<unsigned long long>(result.cache_query_batches),
                 static_cast<unsigned long long>(
-                    result.batched_cache_queries));
+                    result.troxy.enclave_transitions),
+                per_request,
+                static_cast<unsigned long long>(
+                    result.troxy.cache_query_batches),
+                static_cast<unsigned long long>(
+                    result.troxy.batched_cache_queries));
             read_rows.push_back(result.row);
         }
         print_table("batched fast reads (calibrated transition cost)",

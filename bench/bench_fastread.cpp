@@ -134,16 +134,17 @@ int main(int argc, char** argv) {
                         ? result.row.throughput / base_throughput
                         : 0.0,
                     static_cast<unsigned long long>(
-                        result.enclave_transitions),
+                        result.troxy.enclave_transitions),
                     static_cast<unsigned long long>(
-                        result.cache_query_batches),
+                        result.troxy.cache_query_batches),
                     static_cast<unsigned long long>(
-                        result.batched_cache_queries),
+                        result.troxy.batched_cache_queries),
                     static_cast<unsigned long long>(
-                        result.cache_response_batches),
+                        result.troxy.cache_response_batches),
                     static_cast<unsigned long long>(
-                        result.batched_cache_responses),
-                    static_cast<unsigned long long>(result.fast_read_hits),
+                        result.troxy.batched_cache_responses),
+                    static_cast<unsigned long long>(
+                        result.troxy.fast_read_hits),
                     static_cast<unsigned long long>(result.wire_messages));
                 rows.push_back(result.row);
                 samples.push_back(Sample{system_name(system), read_batch,
@@ -214,18 +215,19 @@ int main(int argc, char** argv) {
             s.result.row.throughput, s.result.row.mean_ms,
             s.result.row.p50_ms, s.result.row.p99_ms,
             base > 0.0 ? s.result.row.throughput / base : 0.0,
-            static_cast<unsigned long long>(s.result.enclave_transitions),
-            static_cast<unsigned long long>(s.result.fast_read_hits),
-            static_cast<unsigned long long>(s.result.fast_read_conflicts),
-            static_cast<unsigned long long>(s.result.cache_query_batches),
-            static_cast<unsigned long long>(s.result.batched_cache_queries),
+            static_cast<unsigned long long>(s.result.troxy.enclave_transitions),
+            static_cast<unsigned long long>(s.result.troxy.fast_read_hits),
+            static_cast<unsigned long long>(s.result.troxy.fast_read_conflicts),
+            static_cast<unsigned long long>(s.result.troxy.cache_query_batches),
             static_cast<unsigned long long>(
-                s.result.cache_response_batches),
+                s.result.troxy.batched_cache_queries),
             static_cast<unsigned long long>(
-                s.result.batched_cache_responses),
-            static_cast<unsigned long long>(s.result.reply_auth_batches),
+                s.result.troxy.cache_response_batches),
             static_cast<unsigned long long>(
-                s.result.batch_authenticated_replies),
+                s.result.troxy.batched_cache_responses),
+            static_cast<unsigned long long>(s.result.troxy.reply_auth_batches),
+            static_cast<unsigned long long>(
+                s.result.troxy.batch_authenticated_replies),
             static_cast<unsigned long long>(s.result.wire_messages),
             static_cast<unsigned long long>(s.result.wire_bytes),
             i + 1 < samples.size() ? "," : "");

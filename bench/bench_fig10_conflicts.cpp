@@ -87,6 +87,6 @@ int main() {
     std::printf("  Troxy optimized      : %5.1f%% (mode switches: %llu)\n",
                 100.0 * adaptive_result.conflict_rate(),
                 static_cast<unsigned long long>(
-                    adaptive_result.mode_switches));
+                    adaptive_result.troxy.mode_switches));
     return 0;
 }

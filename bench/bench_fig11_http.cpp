@@ -31,7 +31,7 @@ int main() {
 
     for (const bool wan : {false, true}) {
         HttpParams params;
-        params.wan = wan;
+        params.cluster.wan_clients = wan;
         if (wan) {
             params.warmup = troxy::sim::milliseconds(1000);
         }

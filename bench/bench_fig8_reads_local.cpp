@@ -58,11 +58,11 @@ int main() {
         std::printf("  troxy fast reads: %llu hits, %llu ordered, "
                     "%llu conflicts\n",
                     static_cast<unsigned long long>(
-                        troxy_result.fast_read_hits),
+                        troxy_result.troxy.fast_read_hits),
                     static_cast<unsigned long long>(
-                        troxy_result.ordered_requests),
+                        troxy_result.troxy.ordered_requests),
                     static_cast<unsigned long long>(
-                        troxy_result.fast_read_conflicts));
+                        troxy_result.troxy.fast_read_conflicts));
     }
     return 0;
 }

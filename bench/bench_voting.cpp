@@ -119,9 +119,10 @@ int main(int argc, char** argv) {
                         ? result.row.throughput / base_throughput
                         : 0.0,
                     static_cast<unsigned long long>(
-                        result.enclave_transitions),
-                    static_cast<unsigned long long>(result.reply_batches),
-                    static_cast<unsigned long long>(result.batched_replies),
+                        result.troxy.enclave_transitions),
+                    static_cast<unsigned long long>(result.troxy.reply_batches),
+                    static_cast<unsigned long long>(
+                        result.troxy.batched_replies),
                     static_cast<unsigned long long>(result.wire_messages));
                 rows.push_back(result.row);
                 samples.push_back(Sample{system_name(system), voter, order,
@@ -185,9 +186,9 @@ int main(int argc, char** argv) {
             s.result.row.throughput, s.result.row.mean_ms,
             s.result.row.p50_ms, s.result.row.p99_ms,
             base > 0.0 ? s.result.row.throughput / base : 0.0,
-            static_cast<unsigned long long>(s.result.enclave_transitions),
-            static_cast<unsigned long long>(s.result.reply_batches),
-            static_cast<unsigned long long>(s.result.batched_replies),
+            static_cast<unsigned long long>(s.result.troxy.enclave_transitions),
+            static_cast<unsigned long long>(s.result.troxy.reply_batches),
+            static_cast<unsigned long long>(s.result.troxy.batched_replies),
             static_cast<unsigned long long>(s.result.wire_messages),
             static_cast<unsigned long long>(s.result.wire_bytes),
             i + 1 < samples.size() ? "," : "");

@@ -24,10 +24,11 @@ double MicroResult::conflict_rate() const {
     }
     // Per all reads that entered the fast-read logic: hits, conservative
     // misses (ordered without conflict), and actual conflicts.
-    const std::uint64_t reads =
-        fast_read_hits + fast_read_misses + fast_read_conflicts;
+    const std::uint64_t reads = troxy.fast_read_hits +
+                                troxy.fast_read_misses +
+                                troxy.fast_read_conflicts;
     if (reads == 0) return 0.0;
-    return static_cast<double>(fast_read_conflicts) /
+    return static_cast<double>(troxy.fast_read_conflicts) /
            static_cast<double>(reads);
 }
 
@@ -130,39 +131,7 @@ MicroResult run_troxy(SystemKind kind, const MicroParams& params) {
     result.row.p50_ms = recorder.percentile_latency_ms(50);
     result.row.p99_ms = recorder.percentile_latency_ms(99);
     for (int r = 0; r < cluster.n(); ++r) {
-        const auto host_status = cluster.host(r).status();
-        const auto& status = host_status.troxy;
-        result.fast_read_hits += status.fast_read_hits;
-        result.fast_read_misses += status.fast_read_misses;
-        result.fast_read_conflicts += status.fast_read_conflicts;
-        result.ordered_requests += status.ordered_requests;
-        result.mode_switches += status.mode_switches;
-        result.enclave_transitions += status.enclave_transitions;
-        result.reply_batches += status.reply_batches;
-        result.batched_replies += status.batched_replies;
-        result.reply_auth_batches += status.reply_auth_batches;
-        result.batch_authenticated_replies +=
-            status.batch_authenticated_replies;
-        result.cache_query_batches += status.cache_query_batches;
-        result.batched_cache_queries += status.batched_cache_queries;
-        result.cache_response_batches += status.cache_response_batches;
-        result.batched_cache_responses += status.batched_cache_responses;
-        result.voter_ewma_x100 += host_status.voter_ewma_x100;
-        result.fastread_ewma_x100 += host_status.fastread_ewma_x100;
-        result.batch_ewma_x100 += host_status.batch_ewma_x100;
-        result.exec_scheduled_batches += host_status.exec.scheduled_batches;
-        result.exec_scheduled_requests +=
-            host_status.exec.scheduled_requests;
-        result.exec_conflict_stalls += host_status.exec.conflict_stalls;
-        result.exec_lanes_used_sum += host_status.exec.lanes_used_sum;
-        result.exec_serial_ns +=
-            static_cast<std::uint64_t>(host_status.exec.serial_cost);
-        result.exec_charged_ns +=
-            static_cast<std::uint64_t>(host_status.exec.charged_cost);
-        result.cache_invalidations += status.cache_invalidations;
-        result.invalidations_saved += status.invalidations_saved;
-        result.fallback_prebatches += status.fallback_prebatches;
-        result.prebatched_fallbacks += status.prebatched_fallbacks;
+        result.troxy.add_counters(cluster.host(r).status().troxy);
     }
     result.wire_messages = cluster.network().messages_sent();
     result.wire_bytes = cluster.network().bytes_sent();
@@ -224,9 +193,7 @@ Row finish_row(HttpSystem system, const Recorder& recorder) {
 }  // namespace
 
 Row run_http(HttpSystem system, const HttpParams& params) {
-    ClusterOptions base;
-    base.seed = params.seed;
-    base.wan_clients = params.wan;
+    const ClusterOptions& base = params.cluster;
 
     const double per_client_rate =
         params.total_rate_per_sec / params.clients;
@@ -244,7 +211,7 @@ Row run_http(HttpSystem system, const HttpParams& params) {
             cluster_params.service = service;
             StandaloneCluster cluster(cluster_params);
             Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
+                              http_generator(params), base.seed);
             for (int i = 0; i < params.clients; ++i) {
                 workload.drive_legacy_open(cluster.add_client(),
                                            per_client_rate);
@@ -265,7 +232,7 @@ Row run_http(HttpSystem system, const HttpParams& params) {
             cluster_params.optimistic_reads = true;
             BaselineCluster cluster(cluster_params);
             Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
+                              http_generator(params), base.seed);
             for (int i = 0; i < params.clients; ++i) {
                 workload.drive_bft_open(cluster.add_client(),
                                         per_client_rate);
@@ -281,7 +248,7 @@ Row run_http(HttpSystem system, const HttpParams& params) {
             cluster_params.classifier = http::PageService::classifier();
             ProphecyCluster cluster(cluster_params);
             Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
+                              http_generator(params), base.seed);
             for (int i = 0; i < params.clients; ++i) {
                 workload.drive_legacy_open(cluster.add_client(),
                                            per_client_rate);
@@ -297,7 +264,7 @@ Row run_http(HttpSystem system, const HttpParams& params) {
             cluster_params.classifier = http::PageService::classifier();
             TroxyCluster cluster(std::move(cluster_params));
             Workload workload(cluster.simulator(), recorder,
-                              http_generator(params), params.seed);
+                              http_generator(params), base.seed);
             for (int i = 0; i < params.clients; ++i) {
                 workload.drive_legacy_open(cluster.add_client(),
                                            per_client_rate);

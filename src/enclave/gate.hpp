@@ -7,8 +7,8 @@
 //   * cost — every crossing charges a transition penalty plus parameter
 //     marshalling, and memory beyond the EPC limit pays paging costs;
 //   * interface discipline — the set of distinct entry points is recorded
-//     and bounded, so tests can assert the implementation keeps the
-//     paper's 16-ecall budget.
+//     and bounded, so tests can assert the implementation stays within
+//     its budget (the paper's Troxy has 16 ecalls, ours 11).
 //
 // The *isolation* property is enforced by construction in C++: trusted
 // classes (TroxyEnclave, TrinX) keep their secrets private and the

@@ -38,7 +38,7 @@ TroxyEnclave::TroxyEnclave(sim::NodeId host_node, std::uint32_t replica_id,
       gate_("troxy",
             options.inside_enclave ? options.enclave_costs
                                    : sim::EnclaveCosts::jni_only(),
-            /*max_ecalls=*/16),
+            /*max_ecalls=*/11),
       cache_(gate_, options.cache_capacity_bytes),
       monitor_(options.monitor),
       rng_(seed ^ (0x7472657800ULL + host_node)) {
@@ -218,12 +218,7 @@ TroxyActions TroxyEnclave::order_request(enclave::CostedCrypto& crypto,
 TroxyActions TroxyEnclave::handle_reply(enclave::CostMeter& meter,
                                         hybster::Reply reply) {
     gate_.ecall(meter, "handle_reply", reply.result.size() + 96, 0);
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-    std::set<std::string> invalidated;
-    ingest_reply(crypto, actions, std::move(reply), /*first_from_source=*/true,
-                 /*release_plan=*/nullptr, &invalidated);
-    return actions;
+    return vote(meter, std::span(&reply, 1), /*coalesce=*/false);
 }
 
 TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
@@ -233,12 +228,16 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
         in_bytes += reply.result.size() + 96;
     }
     gate_.ecall(meter, "handle_replies", in_bytes, 0);
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-
     ++stats_.reply_batches;
     stats_.batched_replies += replies.size();
+    return vote(meter, replies, /*coalesce=*/true);
+}
 
+TroxyActions TroxyEnclave::vote(enclave::CostMeter& meter,
+                                std::span<hybster::Reply> replies,
+                                bool coalesce) {
+    enclave::CostedCrypto crypto(profile_, meter);
+    TroxyActions actions;
     // Per-source running MAC: a source replica's first reply in the batch
     // pays the full MAC setup, its later replies only stream bytes.
     // Completed writes share one per-transition invalidation set, so a
@@ -248,18 +247,17 @@ TroxyActions TroxyEnclave::handle_replies(enclave::CostMeter& meter,
     ReleasePlan plan;
     for (hybster::Reply& reply : replies) {
         const bool first = sources_seen.insert(reply.replica).second;
-        ingest_reply(crypto, actions, std::move(reply), first, &plan,
-                     &invalidated);
+        ingest_reply(crypto, actions, std::move(reply), first, plan,
+                     invalidated);
     }
-    flush_releases(crypto, actions, plan);
+    flush_releases(crypto, actions, plan, coalesce);
     return actions;
 }
 
 void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
                                 TroxyActions& actions, hybster::Reply&& reply,
-                                bool first_from_source,
-                                ReleasePlan* release_plan,
-                                std::set<std::string>* invalidated) {
+                                bool first_from_source, ReleasePlan& plan,
+                                std::set<std::string>& invalidated) {
     const auto it = pending_votes_.find(reply.request_id.number);
     if (it == pending_votes_.end()) return;  // done or unknown
     if (reply.request_id.client != host_node_) return;
@@ -310,7 +308,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
         cache_.put(pending.state_key, std::move(entry));
         // A fresh entry re-arms the key: a later write completing in the
         // SAME transition must invalidate it again, dedup or not.
-        if (invalidated != nullptr) invalidated->erase(pending.state_key);
+        invalidated.erase(pending.state_key);
         invalidated_unrecached_.erase(pending.state_key);
     } else {
         invalidate_write_set(pending.state_key, pending.extra_keys,
@@ -333,11 +331,7 @@ void TroxyEnclave::ingest_reply(enclave::CostedCrypto& crypto,
     pending_votes_.erase(it);
     actions.completed_votes.push_back(reply.request_id.number);
 
-    if (release_plan != nullptr) {
-        collect_releases(client, conn_slot, std::move(result), *release_plan);
-    } else {
-        release_reply(crypto, actions, client, conn_slot, std::move(result));
-    }
+    collect_releases(client, conn_slot, std::move(result), plan);
 }
 
 void TroxyEnclave::collect_releases(sim::NodeId client,
@@ -349,8 +343,7 @@ void TroxyEnclave::collect_releases(sim::NodeId client,
 
     connection.ready.emplace(conn_slot, std::move(app_reply));
 
-    // Same strict per-connection release order as release_reply, but the
-    // plaintexts accumulate for one coalesced seal at end of transition.
+    // Release strictly in per-connection order (TLS stream semantics).
     std::vector<Bytes>& out = plan[client];
     while (true) {
         const auto next = connection.ready.find(connection.next_release);
@@ -362,54 +355,34 @@ void TroxyEnclave::collect_releases(sim::NodeId client,
 }
 
 void TroxyEnclave::flush_releases(enclave::CostedCrypto& crypto,
-                                  TroxyActions& actions, ReleasePlan& plan) {
+                                  TroxyActions& actions, ReleasePlan& plan,
+                                  bool coalesce) {
     for (auto& [client, plaintexts] : plan) {
-        if (plaintexts.empty()) continue;
         const auto conn = connections_.find(client);
         if (conn == connections_.end()) continue;
 
-        std::size_t total = 0;
-        std::vector<ByteView> views;
-        views.reserve(plaintexts.size());
-        for (const Bytes& p : plaintexts) {
-            total += p.size();
-            views.emplace_back(p);
-        }
-        // ONE AEAD pass over the whole burst for this connection: the
-        // per-record base cost is paid once instead of once per reply.
+        // Coalesced: ONE AEAD pass over the whole burst for this
+        // connection, so the per-record base cost is paid once instead of
+        // once per reply. Otherwise every released slot is its own record.
         // Gather encoding builds envelope ‖ frame header ‖ sealed record
         // in one buffer.
-        crypto.charge(profile_.aead(total));
-        Writer frame;
-        frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-        frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-        conn->second.channel.protect_many_into(frame, views);
-        actions.sends.emplace_back(client, std::move(frame).take());
-    }
-}
-
-void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
-                                 TroxyActions& actions, sim::NodeId client,
-                                 std::uint64_t conn_slot, Bytes app_reply) {
-    const auto conn = connections_.find(client);
-    if (conn == connections_.end()) return;  // client went away
-    Connection& connection = conn->second;
-
-    connection.ready.emplace(conn_slot, std::move(app_reply));
-
-    // Release strictly in per-connection order (TLS stream semantics).
-    while (true) {
-        const auto next = connection.ready.find(connection.next_release);
-        if (next == connection.ready.end()) break;
-        crypto.charge(profile_.aead(next->second.size()));
-        Writer frame;
-        frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
-        frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
-        connection.channel.protect_many_into(
-            frame, {ByteView(next->second)});
-        actions.sends.emplace_back(client, std::move(frame).take());
-        connection.ready.erase(next);
-        ++connection.next_release;
+        const std::size_t group = coalesce ? plaintexts.size() : 1;
+        for (std::size_t first = 0; first < plaintexts.size();
+             first += group) {
+            std::size_t total = 0;
+            std::vector<ByteView> views;
+            views.reserve(group);
+            for (std::size_t i = first; i < first + group; ++i) {
+                total += plaintexts[i].size();
+                views.emplace_back(plaintexts[i]);
+            }
+            crypto.charge(profile_.aead(total));
+            Writer frame;
+            frame.u8(static_cast<std::uint8_t>(net::Channel::Client));
+            frame.u8(static_cast<std::uint8_t>(net::ClientFrame::Record));
+            conn->second.channel.protect_many_into(frame, views);
+            actions.sends.emplace_back(client, std::move(frame).take());
+        }
     }
 }
 
@@ -418,7 +391,7 @@ void TroxyEnclave::release_reply(enclave::CostedCrypto& crypto,
 enclave::Certificate TroxyEnclave::certify_executed_reply(
     enclave::CostedCrypto& crypto, const hybster::Request& request,
     const hybster::Reply& reply, bool first_in_batch,
-    std::set<std::string>* invalidated) {
+    std::set<std::string>& invalidated) {
     const hybster::RequestInfo info = classifier_(request.payload);
     gate_.touch(crypto.meter(), reply.result.size());
 
@@ -437,7 +410,7 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
         cache_.put(info.state_key, std::move(entry));
         // Re-arm the key: a later write in the same batch must
         // invalidate this fresh entry again.
-        if (invalidated != nullptr) invalidated->erase(info.state_key);
+        invalidated.erase(info.state_key);
         invalidated_unrecached_.erase(info.state_key);
     }
 
@@ -447,10 +420,10 @@ enclave::Certificate TroxyEnclave::certify_executed_reply(
 
 void TroxyEnclave::invalidate_write_set(
     const std::string& state_key, const std::vector<std::string>& extra_keys,
-    std::set<std::string>* invalidated) {
+    std::set<std::string>& invalidated) {
     for (std::size_t k = 0; k <= extra_keys.size(); ++k) {
         const std::string& key = k == 0 ? state_key : extra_keys[k - 1];
-        if (invalidated != nullptr && !invalidated->insert(key).second) {
+        if (!invalidated.insert(key).second) {
             ++stats_.invalidations_saved;
             continue;
         }
@@ -475,20 +448,8 @@ bool TroxyEnclave::has_pending_write(
     return false;
 }
 
-enclave::Certificate TroxyEnclave::authenticate_reply(
-    enclave::CostMeter& meter, const hybster::Request& request,
-    const hybster::Reply& reply) {
-    gate_.ecall(meter, "authenticate_reply",
-                request.payload.size() + reply.result.size() + 128,
-                sizeof(enclave::Certificate));
-    enclave::CostedCrypto crypto(profile_, meter);
-    std::set<std::string> invalidated;
-    return certify_executed_reply(crypto, request, reply,
-                                  /*first_in_batch=*/true, &invalidated);
-}
-
 std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
-    enclave::CostMeter& meter, const std::vector<ReplyAuth>& batch) {
+    enclave::CostMeter& meter, std::span<const ReplyAuth> batch) {
     std::size_t in_bytes = 0;
     for (const ReplyAuth& item : batch) {
         in_bytes +=
@@ -512,7 +473,7 @@ std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
     for (std::size_t i = 0; i < batch.size(); ++i) {
         certs.push_back(certify_executed_reply(crypto, *batch[i].request,
                                                *batch[i].reply, i == 0,
-                                               &invalidated));
+                                               invalidated));
     }
     return certs;
 }
@@ -598,30 +559,15 @@ std::optional<CacheResponse> TroxyEnclave::answer_cache_query(
     return response;
 }
 
-TroxyActions TroxyEnclave::handle_cache_query(enclave::CostMeter& meter,
-                                              const CacheQuery& query) {
-    gate_.ecall(meter, "handle_cache_query", query.wire_size(),
-                CacheResponse::wire_size());
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-
-    auto response =
-        answer_cache_query(crypto, query, /*first_from_source=*/true);
-    if (!response) return actions;
-
-    actions.sends.emplace_back(
-        query.requester,
-        net::wrap(net::Channel::TroxyCache,
-                  encode_cache_message(CacheMessage(*response))));
-    return actions;
-}
-
 TroxyActions TroxyEnclave::handle_cache_queries(
-    enclave::CostMeter& meter, const std::vector<CacheQuery>& queries) {
-    std::size_t in_bytes = 2;
+    enclave::CostMeter& meter, std::span<const CacheQuery> queries) {
+    // Marshalling follows the wire form the burst travels in: a lone
+    // query (and its lone response) has no 2-byte batch count.
+    const std::size_t count_bytes = queries.size() == 1 ? 0 : 2;
+    std::size_t in_bytes = count_bytes;
     for (const CacheQuery& query : queries) in_bytes += query.wire_size();
     gate_.ecall(meter, "handle_cache_queries", in_bytes,
-                2 + queries.size() * CacheResponse::wire_size());
+                count_bytes + queries.size() * CacheResponse::wire_size());
     enclave::CostedCrypto crypto(profile_, meter);
     TroxyActions actions;
 
@@ -659,7 +605,7 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
                                          TroxyActions& actions,
                                          const CacheResponse& response,
                                          bool first_from_source,
-                                         ReleasePlan* release_plan) {
+                                         ReleasePlan& plan) {
     const auto it = fast_reads_.find(response.query_id);
     if (it == fast_reads_.end()) return;
     PendingFastRead& fast = it->second;
@@ -704,51 +650,44 @@ void TroxyEnclave::ingest_cache_response(enclave::CostedCrypto& crypto,
     Bytes result = std::move(fast.local.result);
     fast_reads_.erase(it);
     actions.completed_fast_reads.push_back(response.query_id);
-    if (release_plan != nullptr) {
-        collect_releases(client, conn_slot, std::move(result), *release_plan);
-    } else {
-        release_reply(crypto, actions, client, conn_slot, std::move(result));
-    }
+    collect_releases(client, conn_slot, std::move(result), plan);
 }
 
 TroxyActions TroxyEnclave::handle_cache_response(
     enclave::CostMeter& meter, const CacheResponse& response) {
     gate_.ecall(meter, "handle_cache_response", CacheResponse::wire_size(), 0);
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-    ingest_cache_response(crypto, actions, response,
-                          /*first_from_source=*/true,
-                          /*release_plan=*/nullptr);
-    return actions;
+    return apply_cache_responses(meter, std::span(&response, 1),
+                                 /*coalesce=*/false);
 }
 
 TroxyActions TroxyEnclave::handle_cache_responses(
-    enclave::CostMeter& meter, const std::vector<CacheResponse>& responses) {
+    enclave::CostMeter& meter, std::span<const CacheResponse> responses) {
     gate_.ecall(meter, "handle_cache_responses",
                 2 + responses.size() * CacheResponse::wire_size(), 0);
-    enclave::CostedCrypto crypto(profile_, meter);
-    TroxyActions actions;
-
     ++stats_.cache_response_batches;
     stats_.batched_cache_responses += responses.size();
+    return apply_cache_responses(meter, responses, /*coalesce=*/true);
+}
 
+TroxyActions TroxyEnclave::apply_cache_responses(
+    enclave::CostMeter& meter, std::span<const CacheResponse> responses,
+    bool coalesce) {
+    enclave::CostedCrypto crypto(profile_, meter);
+    TroxyActions actions;
     // Per-source running MAC over the responder certificates; a Byzantine
     // response in the burst rejects (or falls back) only its own query.
-    // All client replies completed by this burst seal into one coalesced
-    // record per connection.
     std::set<std::uint32_t> sources_seen;
     ReleasePlan plan;
     for (const CacheResponse& response : responses) {
         const bool first =
             sources_seen.insert(response.responder_replica).second;
-        ingest_cache_response(crypto, actions, response, first, &plan);
+        ingest_cache_response(crypto, actions, response, first, plan);
     }
-    flush_releases(crypto, actions, plan);
+    flush_releases(crypto, actions, plan, coalesce);
     // A conflicted burst falls back together: two or more fallbacks from
     // one transition enter the ordering pipeline as ONE pre-formed batch
     // (one Prepare/Commit round) instead of request by request. A single
-    // fallback keeps the to_order path, byte-identical to the unbatched
-    // handle_cache_response flow.
+    // fallback keeps the to_order path.
     if (actions.to_order.size() > 1) {
         ++stats_.fallback_prebatches;
         stats_.prebatched_fallbacks += actions.to_order.size();
@@ -827,6 +766,30 @@ TroxyEnclave::Status TroxyEnclave::status() const {
         s.stuck_replies += connection.ready.size();
     }
     return s;
+}
+
+void TroxyEnclave::Status::add_counters(const Status& other) {
+    fast_read_hits += other.fast_read_hits;
+    fast_read_misses += other.fast_read_misses;
+    fast_read_conflicts += other.fast_read_conflicts;
+    ordered_requests += other.ordered_requests;
+    completed_votes += other.completed_votes;
+    rejected_replies += other.rejected_replies;
+    reply_batches += other.reply_batches;
+    batched_replies += other.batched_replies;
+    reply_auth_batches += other.reply_auth_batches;
+    batch_authenticated_replies += other.batch_authenticated_replies;
+    cache_query_batches += other.cache_query_batches;
+    batched_cache_queries += other.batched_cache_queries;
+    cache_response_batches += other.cache_response_batches;
+    batched_cache_responses += other.batched_cache_responses;
+    cache_invalidations += other.cache_invalidations;
+    invalidations_saved += other.invalidations_saved;
+    invalidations_saved_cross_batch += other.invalidations_saved_cross_batch;
+    fallback_prebatches += other.fallback_prebatches;
+    prebatched_fallbacks += other.prebatched_fallbacks;
+    mode_switches += other.mode_switches;
+    enclave_transitions += other.enclave_transitions;
 }
 
 void TroxyEnclave::restart() {

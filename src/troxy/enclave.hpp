@@ -10,17 +10,20 @@
 // alter without detection.
 //
 // Ecall inventory (the paper's implementation keeps the interface at 16
-// entry points; ours needs 13):
+// entry points; ours needs 11):
 //   accept_connection, close_connection, handle_request, handle_reply,
-//   handle_replies, authenticate_reply, authenticate_replies,
-//   handle_cache_query, handle_cache_queries, handle_cache_response,
-//   handle_cache_responses, fast_read_timeout, retransmit.
+//   handle_replies, authenticate_replies, handle_cache_queries,
+//   handle_cache_response, handle_cache_responses, fast_read_timeout,
+//   retransmit.
 // The plural entry points are the batched hot paths: one enclave
 // transition votes a whole burst of replies, certifies a whole executed
 // batch, answers a whole cache-query burst, or applies a whole
 // cache-response burst — amortizing the transition cost and the
 // per-source MAC setup across the batch (§V: transitions dominate the
-// enclave hot path).
+// enclave hot path). Reply certification and cache queries have no
+// singular twin: a lone item is a burst of one, at the same cost and
+// bytes. The voter and the cache-response side keep theirs because they
+// release client replies differently (see handle_replies).
 // Key provisioning happens at enclave construction through the
 // attestation flow (enclave/attestation.hpp), not through an ecall.
 #pragma once
@@ -31,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "common/rng.hpp"
 #include "crypto/x25519.hpp"
@@ -120,7 +124,9 @@ class TroxyEnclave {
 
     /// Voter (§III-C task 3): ingests one replica reply; once f+1
     /// matching, Troxy-authenticated replies arrived, emits the encrypted
-    /// client reply.
+    /// client reply. Every client reply this releases — the completed
+    /// slot plus any later slots of the connection already waiting on it
+    /// — leaves as its own secure-channel record.
     TroxyActions handle_reply(enclave::CostMeter& meter,
                               hybster::Reply reply);
 
@@ -130,46 +136,41 @@ class TroxyEnclave {
     /// completed votes for many requests surface from the single
     /// transition, and all client replies released to one connection are
     /// sealed into one coalesced secure-channel record (one AEAD pass).
-    /// A batch of one is cost- and byte-identical to handle_reply.
+    /// That release rule is the one difference from handle_reply, and it
+    /// shows even for a batch of one whenever the completed slot frees
+    /// later ready slots — so the voter keeps both entry points
+    /// (DESIGN.md §10).
     TroxyActions handle_replies(enclave::CostMeter& meter,
                                 std::vector<hybster::Reply> replies);
 
-    /// Reply authentication for the *local* replica (§IV-A change (1)).
-    /// Certifies the reply with the trusted subsystem and maintains the
-    /// fast-read cache: write replies invalidate their state key before
-    /// the certificate — and hence the write's visibility — exists; read
-    /// replies populate the local cache.
-    enclave::Certificate authenticate_reply(enclave::CostMeter& meter,
-                                            const hybster::Request& request,
-                                            const hybster::Reply& reply);
-
-    /// Batched reply authentication: certifies a whole executed batch's
-    /// replies in ONE enclave transition. The certificates share a running
-    /// MAC (only the first reply pays the MAC setup); cache maintenance is
-    /// identical to authenticate_reply, per reply. A batch of one is cost-
-    /// and byte-identical to authenticate_reply.
+    /// Reply authentication for the *local* replica (§IV-A change (1)):
+    /// certifies a whole executed batch's replies in ONE enclave
+    /// transition, and a lone reply (retransmission, optimistic read,
+    /// unbatched certification) as a batch of one. Cache maintenance runs
+    /// per reply: write replies invalidate their state key before the
+    /// certificate — and hence the write's visibility — exists; read
+    /// replies populate the local cache. The certificates share a running
+    /// MAC (only the first reply pays the MAC setup).
     struct ReplyAuth {
         const hybster::Request* request = nullptr;
         const hybster::Reply* reply = nullptr;
     };
     std::vector<enclave::Certificate> authenticate_replies(
-        enclave::CostMeter& meter, const std::vector<ReplyAuth>& batch);
+        enclave::CostMeter& meter, std::span<const ReplyAuth> batch);
 
-    /// Remote side of the fast read (get_remote_cache_entry, Fig. 4).
-    TroxyActions handle_cache_query(enclave::CostMeter& meter,
-                                    const CacheQuery& query);
-
-    /// Remote side, batched: answers a whole query burst in ONE enclave
-    /// transition. Requester certificates share a running MAC per source
-    /// replica; each query is still verified individually, so a bad query
-    /// drops only itself. Responses going back to the same requester are
-    /// grouped into one CacheResponseBatch.
+    /// Remote side of the fast read (get_remote_cache_entry, Fig. 4):
+    /// answers a query burst in ONE enclave transition — a lone query is
+    /// a burst of one. Requester certificates share a running MAC per
+    /// source replica; each query is still verified individually, so a
+    /// bad query drops only itself. Responses going back to the same
+    /// requester are grouped into one CacheResponseBatch (a lone response
+    /// keeps the single-message form).
     TroxyActions handle_cache_queries(enclave::CostMeter& meter,
-                                      const std::vector<CacheQuery>& queries);
+                                      std::span<const CacheQuery> queries);
 
     /// Voting side: validates one remote cache response; on f matches the
     /// fast read succeeds, on any mismatch the request falls back to
-    /// ordering.
+    /// ordering. Releases one record per client reply, like handle_reply.
     TroxyActions handle_cache_response(enclave::CostMeter& meter,
                                        const CacheResponse& response);
 
@@ -178,10 +179,9 @@ class TroxyEnclave {
     /// source replica, each response is verified individually (one
     /// Byzantine response rejects — and falls back — only its own query),
     /// and all client replies released to one connection are sealed into
-    /// one coalesced secure-channel record.
+    /// one coalesced secure-channel record (the handle_replies rule).
     TroxyActions handle_cache_responses(
-        enclave::CostMeter& meter,
-        const std::vector<CacheResponse>& responses);
+        enclave::CostMeter& meter, std::span<const CacheResponse> responses);
 
     /// Fast-read liveness: an unresponsive remote Troxy must not stall
     /// the client; the read falls back to ordering.
@@ -229,6 +229,11 @@ class TroxyEnclave {
         std::size_t pending_votes = 0;
         std::size_t pending_fast_reads = 0;
         std::size_t stuck_replies = 0;  // buffered out-of-order releases
+
+        /// Adds `other`'s counters to this status. Gauges (miss_rate,
+        /// fast_path_enabled, cache_entries, pending_*, stuck_replies)
+        /// describe one live instance and stay as they are.
+        void add_counters(const Status& other);
     };
     [[nodiscard]] Status status() const;
 
@@ -295,59 +300,63 @@ class TroxyEnclave {
                          ByteView app_request, const CacheEntry& entry);
     void fast_read_fallback(enclave::CostedCrypto& crypto,
                             TroxyActions& actions, std::uint64_t query_id);
-    void release_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                       sim::NodeId client, std::uint64_t conn_slot,
-                       Bytes app_reply);
-    /// Per-connection plaintexts awaiting one coalesced seal at the end
-    /// of a batched-voter transition.
+    /// Per-connection plaintexts released by one transition, in slot
+    /// order, awaiting their seal at the end of it.
     using ReleasePlan = std::map<sim::NodeId, std::vector<Bytes>>;
+    /// Shared voter body of handle_reply and handle_replies; `coalesce`
+    /// picks the release rule of flush_releases.
+    TroxyActions vote(enclave::CostMeter& meter,
+                      std::span<hybster::Reply> replies, bool coalesce);
     /// Shared voting core: validates one reply, updates the tally, and on
-    /// quorum maintains the cache and releases the client reply — either
-    /// immediately (release_plan == nullptr, the unbatched path) or into
-    /// the plan for one coalesced record per connection.
+    /// quorum maintains the cache and collects the client reply into the
+    /// transition's release plan. `invalidated` carries the
+    /// per-transition dedup set (see invalidate_write_set).
     void ingest_reply(enclave::CostedCrypto& crypto, TroxyActions& actions,
                       hybster::Reply&& reply, bool first_from_source,
-                      ReleasePlan* release_plan,
-                      std::set<std::string>* invalidated);
-    /// Shared cache-maintenance + certification core of the two
-    /// authenticate_reply* ecalls. `invalidated` carries the
-    /// per-transition dedup set (see invalidate_write_set).
-    enclave::Certificate certify_executed_reply(enclave::CostedCrypto& crypto,
-                                                const hybster::Request& request,
-                                                const hybster::Reply& reply,
-                                                bool first_in_batch,
-                                                std::set<std::string>* invalidated);
+                      ReleasePlan& plan, std::set<std::string>& invalidated);
+    /// Cache maintenance + certification of one executed reply.
+    enclave::Certificate certify_executed_reply(
+        enclave::CostedCrypto& crypto, const hybster::Request& request,
+        const hybster::Reply& reply, bool first_in_batch,
+        std::set<std::string>& invalidated);
     /// Drops a completed write's whole key set (state_key + extra_keys)
-    /// from the fast-read cache. Within one batched transition each
-    /// distinct key is dropped once: `invalidated` (when non-null)
-    /// remembers the keys this transition already invalidated, and a
-    /// cache_.put between two writes erases its key from the set again
-    /// so the second write re-invalidates.
+    /// from the fast-read cache. Within one transition each distinct key
+    /// is dropped once: `invalidated` remembers the keys this transition
+    /// already invalidated, and a cache_.put between two writes erases
+    /// its key from the set again so the second write re-invalidates.
     void invalidate_write_set(const std::string& state_key,
                               const std::vector<std::string>& extra_keys,
-                              std::set<std::string>* invalidated);
+                              std::set<std::string>& invalidated);
     /// True when any key the (read) request touches has an own write
     /// still in flight.
     [[nodiscard]] bool has_pending_write(
         const hybster::RequestInfo& info) const;
-    /// Shared remote-side core: verifies the requester certificate and
-    /// builds the response; nullopt when the query must be dropped.
+    /// Remote-side core: verifies the requester certificate and builds
+    /// the response; nullopt when the query must be dropped.
     std::optional<CacheResponse> answer_cache_query(
         enclave::CostedCrypto& crypto, const CacheQuery& query,
         bool first_from_source);
-    /// Shared voting-side core: validates one remote response, completes
-    /// or falls back its fast read. Releases go out immediately
-    /// (release_plan == nullptr, the unbatched path) or into the plan for
-    /// one coalesced record per connection.
+    /// Shared body of handle_cache_response and handle_cache_responses;
+    /// `coalesce` picks the release rule of flush_releases.
+    TroxyActions apply_cache_responses(enclave::CostMeter& meter,
+                                       std::span<const CacheResponse> responses,
+                                       bool coalesce);
+    /// Voting-side core: validates one remote response, completes or
+    /// falls back its fast read; a completed read's reply goes into the
+    /// transition's release plan.
     void ingest_cache_response(enclave::CostedCrypto& crypto,
                                TroxyActions& actions,
                                const CacheResponse& response,
-                               bool first_from_source,
-                               ReleasePlan* release_plan);
+                               bool first_from_source, ReleasePlan& plan);
+    /// Parks a completed reply in its connection slot and moves every
+    /// slot now releasable in order (TLS stream semantics) into the plan.
     void collect_releases(sim::NodeId client, std::uint64_t conn_slot,
                           Bytes app_reply, ReleasePlan& plan);
+    /// Seals the plan: one coalesced record per connection (`coalesce`,
+    /// the batched ecalls) or one record per released slot (the singular
+    /// handle_reply / handle_cache_response).
     void flush_releases(enclave::CostedCrypto& crypto, TroxyActions& actions,
-                        ReleasePlan& plan);
+                        ReleasePlan& plan, bool coalesce);
     [[nodiscard]] crypto::Sha256Digest app_request_digest(
         enclave::CostedCrypto& crypto, ByteView app_request) const;
 

@@ -47,42 +47,44 @@ TroxyReplicaHost::TroxyReplicaHost(
     };
     // Replies are authenticated by the local Troxy (which uses the moment
     // to keep its fast-read cache coherent), then sent to the contact
-    // replica hosting the issuing Troxy.
-    hooks.deliver_reply = [this](enclave::CostedCrypto& crypto,
-                                 net::Outbox& outbox,
-                                 const hybster::Request& request,
-                                 hybster::Reply reply) {
-        reply.cert =
-            troxy_->authenticate_reply(crypto.meter(), request, reply);
-        outbox.send(request.id.client,
-                    net::wrap(net::Channel::Hybster,
-                              encode_message(hybster::Message(reply))));
-    };
-    if (options.batch_reply_auth) {
-        // A whole executed batch's replies enter the enclave through ONE
-        // authenticate_replies transition; retransmissions and optimistic
-        // reads keep the per-reply hook above.
-        hooks.deliver_replies =
-            [this](enclave::CostedCrypto& crypto, net::Outbox& outbox,
-                   std::vector<hybster::Replica::Hooks::ExecutedReply>&&
-                       batch) {
-                std::vector<TroxyEnclave::ReplyAuth> items;
-                items.reserve(batch.size());
-                for (const auto& member : batch) {
-                    items.push_back(TroxyEnclave::ReplyAuth{member.request,
-                                                            &member.reply});
-                }
-                const std::vector<enclave::Certificate> certs =
-                    troxy_->authenticate_replies(crypto.meter(), items);
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    batch[i].reply.cert = certs[i];
-                    outbox.send(
-                        batch[i].request->id.client,
+    // replica hosting the issuing Troxy. An executed batch's replies
+    // enter the enclave through ONE authenticate_replies transition when
+    // batch_reply_auth is on; otherwise, and for retransmissions and
+    // optimistic reads, each reply is a batch of one.
+    using ExecutedReply = hybster::Replica::Hooks::ExecutedReply;
+    auto certify_and_send = [this](enclave::CostedCrypto& crypto,
+                                   net::Outbox& outbox,
+                                   std::span<ExecutedReply> batch) {
+        std::vector<TroxyEnclave::ReplyAuth> items;
+        items.reserve(batch.size());
+        for (const ExecutedReply& member : batch) {
+            items.push_back(
+                TroxyEnclave::ReplyAuth{member.request, &member.reply});
+        }
+        const std::vector<enclave::Certificate> certs =
+            troxy_->authenticate_replies(crypto.meter(), items);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch[i].reply.cert = certs[i];
+            outbox.send(batch[i].request->id.client,
                         net::wrap(net::Channel::Hybster,
                                   encode_message(
                                       hybster::Message(batch[i].reply))));
-                }
-            };
+        }
+    };
+    hooks.deliver_reply = [certify_and_send](enclave::CostedCrypto& crypto,
+                                             net::Outbox& outbox,
+                                             const hybster::Request& request,
+                                             hybster::Reply reply) {
+        ExecutedReply member{&request, std::move(reply)};
+        certify_and_send(crypto, outbox, std::span(&member, 1));
+    };
+    if (options.batch_reply_auth) {
+        hooks.deliver_replies = [certify_and_send](
+                                    enclave::CostedCrypto& crypto,
+                                    net::Outbox& outbox,
+                                    std::vector<ExecutedReply>&& batch) {
+            certify_and_send(crypto, outbox, batch);
+        };
     }
 
     replica_ = std::make_unique<hybster::Replica>(
@@ -204,32 +206,7 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
 
     // Retire the outgoing instance's counters into the host accumulator
     // so observability spans the swap.
-    {
-        const TroxyEnclave::Status old = troxy_->status();
-        auto& acc = retired_troxy_stats_;
-        acc.fast_read_hits += old.fast_read_hits;
-        acc.fast_read_misses += old.fast_read_misses;
-        acc.fast_read_conflicts += old.fast_read_conflicts;
-        acc.ordered_requests += old.ordered_requests;
-        acc.completed_votes += old.completed_votes;
-        acc.rejected_replies += old.rejected_replies;
-        acc.reply_batches += old.reply_batches;
-        acc.batched_replies += old.batched_replies;
-        acc.reply_auth_batches += old.reply_auth_batches;
-        acc.batch_authenticated_replies += old.batch_authenticated_replies;
-        acc.cache_query_batches += old.cache_query_batches;
-        acc.batched_cache_queries += old.batched_cache_queries;
-        acc.cache_response_batches += old.cache_response_batches;
-        acc.batched_cache_responses += old.batched_cache_responses;
-        acc.cache_invalidations += old.cache_invalidations;
-        acc.invalidations_saved += old.invalidations_saved;
-        acc.invalidations_saved_cross_batch +=
-            old.invalidations_saved_cross_batch;
-        acc.fallback_prebatches += old.fallback_prebatches;
-        acc.prebatched_fallbacks += old.prebatched_fallbacks;
-        acc.mode_switches += old.mode_switches;
-        acc.enclave_transitions += old.enclave_transitions;
-    }
+    retired_troxy_stats_.add_counters(troxy_->status());
 
     // Fresh instance: empty cache, empty voter, no sessions — every
     // secure-channel session key rotates because clients must re-
@@ -372,7 +349,9 @@ void TroxyReplicaHost::dispatch_message(sim::NodeId from, ByteView message) {
             if (!decoded) return;
             enclave::CostMeter meter;
             if (auto* query = std::get_if<CacheQuery>(&*decoded)) {
-                apply(meter, troxy_->handle_cache_query(meter, *query));
+                // A lone query is a burst of one.
+                apply(meter, troxy_->handle_cache_queries(
+                                 meter, std::span(query, 1)));
             } else if (auto* response =
                            std::get_if<CacheResponse>(&*decoded)) {
                 apply(meter,
@@ -634,32 +613,7 @@ TroxyReplicaHost::Status TroxyReplicaHost::status() const {
     Status s;
     s.troxy = troxy_->status();
     // Add the counters retired by enclave recoveries; gauges stay live.
-    {
-        const auto& acc = retired_troxy_stats_;
-        s.troxy.fast_read_hits += acc.fast_read_hits;
-        s.troxy.fast_read_misses += acc.fast_read_misses;
-        s.troxy.fast_read_conflicts += acc.fast_read_conflicts;
-        s.troxy.ordered_requests += acc.ordered_requests;
-        s.troxy.completed_votes += acc.completed_votes;
-        s.troxy.rejected_replies += acc.rejected_replies;
-        s.troxy.reply_batches += acc.reply_batches;
-        s.troxy.batched_replies += acc.batched_replies;
-        s.troxy.reply_auth_batches += acc.reply_auth_batches;
-        s.troxy.batch_authenticated_replies +=
-            acc.batch_authenticated_replies;
-        s.troxy.cache_query_batches += acc.cache_query_batches;
-        s.troxy.batched_cache_queries += acc.batched_cache_queries;
-        s.troxy.cache_response_batches += acc.cache_response_batches;
-        s.troxy.batched_cache_responses += acc.batched_cache_responses;
-        s.troxy.cache_invalidations += acc.cache_invalidations;
-        s.troxy.invalidations_saved += acc.invalidations_saved;
-        s.troxy.invalidations_saved_cross_batch +=
-            acc.invalidations_saved_cross_batch;
-        s.troxy.fallback_prebatches += acc.fallback_prebatches;
-        s.troxy.prebatched_fallbacks += acc.prebatched_fallbacks;
-        s.troxy.mode_switches += acc.mode_switches;
-        s.troxy.enclave_transitions += acc.enclave_transitions;
-    }
+    s.troxy.add_counters(retired_troxy_stats_);
     s.voter_ewma_x100 = voter_controller_.ewma_x100();
     s.fastread_ewma_x100 = fastread_controller_.ewma_x100();
     s.batch_ewma_x100 = replica_->batch_ewma_x100();

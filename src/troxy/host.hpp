@@ -46,7 +46,8 @@ class TroxyReplicaHost {
         /// per-reply latency).
         bool adaptive_voting = false;
         /// Certify a whole executed batch's replies in one
-        /// authenticate_replies ecall instead of one transition per reply.
+        /// authenticate_replies ecall instead of one transition per reply
+        /// (each reply a batch of one).
         bool batch_reply_auth = false;
         /// Fast-read batching: maximum buffered cache queries before the
         /// host ships them as CacheQueryBatch bursts (one per remote).

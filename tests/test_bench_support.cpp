@@ -128,7 +128,7 @@ TEST(Experiments, MicroRunProducesConsistentCounters) {
 
     const MicroResult result = run_micro(SystemKind::ETroxy, params);
     EXPECT_GT(result.row.throughput, 0.0);
-    EXPECT_GT(result.fast_read_hits + result.ordered_requests, 0u);
+    EXPECT_GT(result.troxy.fast_read_hits + result.troxy.ordered_requests, 0u);
     EXPECT_GE(result.conflict_rate(), 0.0);
     EXPECT_LE(result.conflict_rate(), 1.0);
 }

@@ -475,6 +475,73 @@ TEST(Recovery, EnclaveRecoveryUnderLoadIsTransparent) {
     }
 }
 
+// The host's Troxy status spans enclave recoveries: the retiring
+// instance's counters carry over into every counter of
+// host.status().troxy, so none reads lower after the swap than just
+// before it (the fresh instance itself starts from zero).
+TEST(Recovery, EnclaveCountersSpanRecovery) {
+    auto params = recovery_params(907);
+    // Batched voting, fast reads and reply certification, so the batch
+    // counters move too.
+    params.host.voter_batch_max = 4;
+    params.host.fastread_batch_max = 4;
+    params.host.batch_reply_auth = true;
+    bench::TroxyCluster cluster(std::move(params));
+    auto& client = cluster.add_client(1);
+
+    // Write, then read each key twice: the first read is ordered and
+    // warms the caches, the second takes the fast path.
+    int left = 12;
+    auto step = std::make_shared<std::function<void()>>();
+    *step = [&, weak = std::weak_ptr(step)]() {
+        const auto self = weak.lock();
+        if (!self || left == 0) return;
+        const auto key = static_cast<std::uint64_t>(left % 4);
+        --left;
+        client.send(EchoService::make_write(key, 64), [&, self, key](Bytes) {
+            client.send(EchoService::make_read(key, 32, 64),
+                        [&, self, key](Bytes) {
+                            client.send(EchoService::make_read(key, 32, 64),
+                                        [self](Bytes) { (*self)(); });
+                        });
+        });
+    };
+    client.start([step]() { (*step)(); });
+    cluster.simulator().run_until(sim::seconds(5));
+    ASSERT_EQ(left, 0);
+
+    auto& host = cluster.host(1);
+    using Status = troxy_core::TroxyEnclave::Status;
+    const Status before = host.status().troxy;
+    EXPECT_GT(before.fast_read_hits, 0u);
+    EXPECT_GT(before.completed_votes, 0u);
+    EXPECT_GT(before.reply_auth_batches, 0u);
+
+    ASSERT_TRUE(host.recover_enclave());
+    cluster.simulator().run_until(cluster.simulator().now() +
+                                  sim::milliseconds(50));
+    ASSERT_EQ(host.enclave_recoveries(), 1u);
+    const Status after = host.status().troxy;
+
+    for (const auto counter :
+         {&Status::fast_read_hits, &Status::fast_read_misses,
+          &Status::fast_read_conflicts, &Status::ordered_requests,
+          &Status::completed_votes, &Status::rejected_replies,
+          &Status::reply_batches, &Status::batched_replies,
+          &Status::reply_auth_batches, &Status::batch_authenticated_replies,
+          &Status::cache_query_batches, &Status::batched_cache_queries,
+          &Status::cache_response_batches, &Status::batched_cache_responses,
+          &Status::cache_invalidations, &Status::invalidations_saved,
+          &Status::invalidations_saved_cross_batch,
+          &Status::fallback_prebatches, &Status::prebatched_fallbacks,
+          &Status::mode_switches, &Status::enclave_transitions}) {
+        EXPECT_GE(after.*counter, before.*counter);
+    }
+    // Gauges stay live: the fresh instance starts with an empty cache.
+    EXPECT_GT(before.cache_entries, 0u);
+    EXPECT_EQ(after.cache_entries, 0u);
+}
+
 // Periodic schedule: every enclave in the fleet recovers at least once,
 // staggered, while a client keeps completing requests.
 TEST(Recovery, PeriodicScheduleRecoversWholeFleet) {
