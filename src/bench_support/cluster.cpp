@@ -116,8 +116,8 @@ void attach_legacy_dispatch(net::Fabric& fabric, sim::Node& node,
 /// The hybster::Config a deployment's replica groups run, filled from
 /// `options`: f and the checkpoint, ordering-batch, execution-lane and
 /// state-transfer knobs. `troxy` adds the knobs only the Troxy deployment
-/// forwards (wire coalescing, zero copy, transport, adaptive batching and
-/// the shard count); the BL baseline keeps the original Hybster flow.
+/// forwards (wire coalescing, zero copy, transport and the shard count);
+/// the BL baseline keeps the original Hybster flow.
 /// The builder fills in the replica node ids and the shard id.
 hybster::Config hybster_config(const ClusterOptions& options, bool troxy) {
     hybster::Config config;
@@ -133,7 +133,6 @@ hybster::Config hybster_config(const ClusterOptions& options, bool troxy) {
         config.coalesce_wire = options.coalesce_wire;
         config.wire_zero_copy = options.wire_zero_copy;
         config.transport = options.transport;
-        config.adaptive_batching = options.adaptive_batching;
         config.shard_count = options.shard_count;
     }
     return config;
@@ -183,9 +182,10 @@ sim::Node& ClusterBase::make_client_node(const std::string& name) {
     nodes_.push_back(
         std::make_unique<sim::Node>(sim_, id, name, options_.client_cores));
 
-    // Pack clients onto the configured number of client machines.
-    const int machine = 10'000 + (next_client_machine_++ %
-                                  std::max(1, options_.client_machines));
+    // Pack clients onto the paper's two client machines.
+    constexpr int kClientMachines = 2;
+    const int machine =
+        10'000 + (next_client_machine_++ % kClientMachines);
     network_.set_nic_group(id, machine, options_.client_machine_bandwidth);
 
     if (options_.wan_clients) {
@@ -311,15 +311,6 @@ void TroxyCluster::build_group(int shard, const Params& params) {
 
     for (int i = 0; i < n; ++i) {
         group.identities.push_back(identity_for(group_seed, i));
-        if (host_options.enclave_recovery_period > 0) {
-            // Stagger the group: recover one enclave at a time instead
-            // of tearing all of them down in lockstep.
-            host_options.enclave_recovery_offset =
-                params.host.enclave_recovery_offset +
-                host_options.enclave_recovery_period *
-                    static_cast<std::uint64_t>(i) /
-                    static_cast<std::uint64_t>(n);
-        }
         group.hosts.push_back(
             std::make_unique<troxy_core::TroxyReplicaHost>(
                 fabric_, *nodes_[node_base + static_cast<std::size_t>(i)],

@@ -33,8 +33,9 @@ struct ClusterOptions {
     int replica_cores = 8;  // i7-6700: 4 cores + hyper-threading
     int client_cores = 8;
     bool wan_clients = false;  // add 100±20 ms on client links
-    int client_machines = 2;   // paper: two client machines
-    double client_machine_bandwidth = 4e9;   // four 1 Gbps NICs each
+    /// Per client machine (clients pack onto the paper's two): four
+    /// 1 Gbps NICs.
+    double client_machine_bandwidth = 4e9;
     double replica_machine_bandwidth = 4e9;  // four 1 Gbps NICs
     std::uint64_t seed = 1;
     hybster::SequenceNumber checkpoint_interval = 512;
@@ -57,9 +58,6 @@ struct ClusterOptions {
     /// credit_window also arms the network's in-flight bound. The default
     /// none() keeps the seed's free-transport model.
     sim::TransportProfile transport = sim::TransportProfile::none();
-    /// Load-adaptive effective batch boundary on the leader
-    /// (hybster::Config::adaptive_batching).
-    bool adaptive_batching = false;
     /// Modeled execution lanes per replica
     /// (hybster::Config::execution_lanes); 1 = serial execution.
     std::size_t execution_lanes = 1;

@@ -40,8 +40,8 @@ struct MicroParams {
 
     // --- system ---
     /// The deployment: wan_clients, lan_jitter, seed and the ordering
-    /// knobs (batching, coalesce_wire, adaptive_batching, execution
-    /// lanes). cluster.seed also seeds the workload.
+    /// knobs (batching, coalesce_wire, execution lanes). cluster.seed
+    /// also seeds the workload.
     ClusterOptions cluster{.seed = 42};
     /// Troxy host knobs: the fast-read cache, its miss-rate monitor,
     /// enclave costs, voter and fast-read batching, batched reply

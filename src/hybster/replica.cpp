@@ -169,7 +169,7 @@ void Replica::submit_prebatched(std::vector<Request> requests) {
     }
     prebatching_ = false;
     // Cut whatever the burst accumulated as one batch, regardless of the
-    // adaptive boundary or the delay timer: the burst already waited
+    // batch boundary or the delay timer: the burst already waited
     // once (for its cache responses) and arrives pre-formed.
     if (is_leader() && !in_view_change_ && !pending_batch_.empty()) {
         cut_batch(crypto, outbox);
@@ -302,15 +302,8 @@ void Replica::enqueue_for_batch(enclave::CostedCrypto& crypto,
         }
         return;
     }
-    // The adaptive controller tracks served load (requests per delay
-    // window, fed at cut time) and shrinks the cut boundary under light
-    // load: an idle system cuts immediately (single-request latency), a
-    // saturated one opens up to the configured maximum.
-    std::size_t boundary = config_.batch_size_max;
-    if (config_.adaptive_batching) {
-        boundary = batch_controller_.effective(config_.batch_size_max);
-    }
-    if (pending_batch_.size() >= boundary || config_.batch_delay == 0) {
+    if (pending_batch_.size() >= config_.batch_size_max ||
+        config_.batch_delay == 0) {
         cut_batch(crypto, outbox);
     } else {
         arm_batch_timer();
@@ -332,11 +325,6 @@ void Replica::cut_batch(enclave::CostedCrypto& crypto, net::Outbox& outbox) {
     prepare.replica = id_;
     prepare.batch.requests = std::move(pending_batch_);
     pending_batch_.clear();
-    if (config_.adaptive_batching) {
-        batch_controller_.record_served(prepare.batch.requests.size(),
-                                        fabric_.simulator().now(),
-                                        config_.batch_delay);
-    }
     // Member digests and the batch digest are computed (and charged) once
     // here; followers and the execution path reuse the cached values.
     (void)prepare.batch.digest_with(crypto);

@@ -44,7 +44,6 @@
 #include <utility>
 
 #include "enclave/trinx.hpp"
-#include "hybster/adaptive.hpp"
 #include "hybster/config.hpp"
 #include "hybster/messages.hpp"
 #include "hybster/service.hpp"
@@ -168,11 +167,6 @@ class Replica {
     [[nodiscard]] const Config& config() const noexcept { return config_; }
     [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
     [[nodiscard]] Service& service() noexcept { return *service_; }
-    /// Smoothed served-load estimate of the leader's batch controller
-    /// (requests per batch-delay window, ×100). For benches/Status.
-    [[nodiscard]] std::uint64_t batch_ewma_x100() const noexcept {
-        return batch_controller_.ewma_x100();
-    }
 
     /// Cumulative execution-stage accounting (conflict-aware lanes).
     struct ExecStats {
@@ -366,9 +360,6 @@ class Replica {
     std::vector<Request> pending_batch_;
     std::uint64_t batch_timer_generation_ = 0;
     bool batch_timer_armed_ = false;
-    /// Load tracker for config_.adaptive_batching: shrinks the effective
-    /// cut boundary under light load (idle = single-request latency).
-    AdaptiveBatchController batch_controller_;
 
     // Index over pending_batch_ plus the members of every unexecuted
     // prepared log entry: the duplicate-suppression check on the leader's

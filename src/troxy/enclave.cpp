@@ -448,8 +448,8 @@ bool TroxyEnclave::has_pending_write(
     return false;
 }
 
-std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
-    enclave::CostMeter& meter, std::span<const ReplyAuth> batch) {
+void TroxyEnclave::authenticate_replies(enclave::CostMeter& meter,
+                                       std::span<const ReplyAuth> batch) {
     std::size_t in_bytes = 0;
     for (const ReplyAuth& item : batch) {
         in_bytes +=
@@ -468,14 +468,10 @@ std::vector<enclave::Certificate> TroxyEnclave::authenticate_replies(
     // One invalidation set for the whole executed batch: a write burst
     // under few distinct keys drops each key once instead of per reply.
     std::set<std::string> invalidated;
-    std::vector<enclave::Certificate> certs;
-    certs.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        certs.push_back(certify_executed_reply(crypto, *batch[i].request,
-                                               *batch[i].reply, i == 0,
-                                               invalidated));
+        batch[i].reply->cert = certify_executed_reply(
+            crypto, *batch[i].request, *batch[i].reply, i == 0, invalidated);
     }
-    return certs;
 }
 
 // -------------------------------------------------------------- fast read

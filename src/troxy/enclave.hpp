@@ -62,10 +62,6 @@ struct TroxyOptions {
     /// false = the paper's "ctroxy" variant: same native code path but
     /// running outside SGX (JNI call costs only, no SGX transitions/EPC).
     bool inside_enclave = true;
-    /// Concurrent threads allowed inside the enclave (the TCS budget the
-    /// enclave interface fixes at build time, §V-A). Ecall work beyond
-    /// this concurrency serializes. Ignored for ctroxy.
-    int tcs_count = 1;
 };
 
 /// What the untrusted host must do after an ecall returns: transmit the
@@ -150,13 +146,14 @@ class TroxyEnclave {
     /// per reply: write replies invalidate their state key before the
     /// certificate — and hence the write's visibility — exists; read
     /// replies populate the local cache. The certificates share a running
-    /// MAC (only the first reply pays the MAC setup).
+    /// MAC (only the first reply pays the MAC setup). Each certificate
+    /// is written into its reply's `cert`.
     struct ReplyAuth {
         const hybster::Request* request = nullptr;
-        const hybster::Reply* reply = nullptr;
+        hybster::Reply* reply = nullptr;
     };
-    std::vector<enclave::Certificate> authenticate_replies(
-        enclave::CostMeter& meter, std::span<const ReplyAuth> batch);
+    void authenticate_replies(enclave::CostMeter& meter,
+                              std::span<const ReplyAuth> batch);
 
     /// Remote side of the fast read (get_remote_cache_entry, Fig. 4):
     /// answers a query burst in ONE enclave transition — a lone query is

@@ -51,54 +51,44 @@ TroxyReplicaHost::TroxyReplicaHost(
     // enter the enclave through ONE authenticate_replies transition when
     // batch_reply_auth is on; otherwise, and for retransmissions and
     // optimistic reads, each reply is a batch of one.
-    using ExecutedReply = hybster::Replica::Hooks::ExecutedReply;
+    // The enclave writes each certificate into its reply in place.
+    using ReplyAuth = TroxyEnclave::ReplyAuth;
     auto certify_and_send = [this](enclave::CostedCrypto& crypto,
                                    net::Outbox& outbox,
-                                   std::span<ExecutedReply> batch) {
-        std::vector<TroxyEnclave::ReplyAuth> items;
-        items.reserve(batch.size());
-        for (const ExecutedReply& member : batch) {
-            items.push_back(
-                TroxyEnclave::ReplyAuth{member.request, &member.reply});
-        }
-        const std::vector<enclave::Certificate> certs =
-            troxy_->authenticate_replies(crypto.meter(), items);
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            batch[i].reply.cert = certs[i];
-            outbox.send(batch[i].request->id.client,
+                                   std::span<const ReplyAuth> batch) {
+        troxy_->authenticate_replies(crypto.meter(), batch);
+        for (const ReplyAuth& item : batch) {
+            outbox.send(item.request->id.client,
                         net::wrap(net::Channel::Hybster,
                                   encode_message(
-                                      hybster::Message(batch[i].reply))));
+                                      hybster::Message(*item.reply))));
         }
     };
     hooks.deliver_reply = [certify_and_send](enclave::CostedCrypto& crypto,
                                              net::Outbox& outbox,
                                              const hybster::Request& request,
                                              hybster::Reply reply) {
-        ExecutedReply member{&request, std::move(reply)};
-        certify_and_send(crypto, outbox, std::span(&member, 1));
+        const ReplyAuth item{&request, &reply};
+        certify_and_send(crypto, outbox, std::span(&item, 1));
     };
     if (options.batch_reply_auth) {
+        using ExecutedReply = hybster::Replica::Hooks::ExecutedReply;
         hooks.deliver_replies = [certify_and_send](
                                     enclave::CostedCrypto& crypto,
                                     net::Outbox& outbox,
                                     std::vector<ExecutedReply>&& batch) {
-            certify_and_send(crypto, outbox, batch);
+            std::vector<ReplyAuth> items;
+            items.reserve(batch.size());
+            for (ExecutedReply& member : batch) {
+                items.push_back(ReplyAuth{member.request, &member.reply});
+            }
+            certify_and_send(crypto, outbox, items);
         };
     }
 
     replica_ = std::make_unique<hybster::Replica>(
         fabric, node, config, replica_id, std::move(service),
         std::move(trinx), replica_profile, std::move(hooks));
-
-    // All ecalls mutate shared trusted state (voter tables, cache,
-    // session keys), so the Troxy serializes them on a bounded number of
-    // enclave threads — for etroxy that is the TCS budget, for ctroxy the
-    // same library lock without SGX. Transition costs differ (SGX vs JNI).
-    if (options_.troxy.tcs_count > 0) {
-        tcs_free_.assign(
-            static_cast<std::size_t>(options_.troxy.tcs_count), 0);
-    }
 }
 
 void TroxyReplicaHost::crash() {
@@ -133,9 +123,7 @@ void TroxyReplicaHost::restart(hybster::ServicePtr fresh_service) {
     faults_ = hybster::FaultProfile{};
     ++restarts_;
     troxy_->restart();
-    if (!tcs_free_.empty()) {
-        std::fill(tcs_free_.begin(), tcs_free_.end(), 0);
-    }
+    enclave_busy_until_ = 0;
     // Clears the replica's fault profile, resets its volatile state and
     // kicks off the rejoin protocol.
     replica_->restart(std::move(fresh_service));
@@ -150,8 +138,13 @@ void TroxyReplicaHost::attach() {
             on_chain(from, std::move(chain));
         });
     if (options_.enclave_recovery_period > 0 && options_.authority) {
-        arm_recovery_timer(options_.enclave_recovery_period +
-                           options_.enclave_recovery_offset);
+        // Stagger the group: replica i of n first recovers i/n of a
+        // period late, so one enclave at a time is down instead of all of
+        // them in lockstep.
+        const sim::Duration stagger =
+            options_.enclave_recovery_period * replica_id_ /
+            static_cast<std::uint64_t>(config_.n());
+        arm_recovery_timer(options_.enclave_recovery_period + stagger);
     }
 }
 
@@ -180,7 +173,7 @@ bool TroxyReplicaHost::recover_enclave() {
     Bytes handover = trinx_->export_handover(crypto);
 
     fabric_.simulator().after(
-        options_.enclave_recovery_downtime,
+        kEnclaveRecoveryDowntime,
         [this, generation, handover = std::move(handover)]() mutable {
             if (generation != recovery_generation_) return;
             if (faults_.crashed) return;  // crash() aborted the recovery
@@ -216,9 +209,7 @@ void TroxyReplicaHost::finish_enclave_recovery(Bytes handover) {
         node_.id(), replica_id_, config_, trinx_, channel_identity_,
         classifier_, troxy_profile_, options_.troxy,
         seed_ + 7919 * (enclave_recoveries_ + 1));
-    if (!tcs_free_.empty()) {
-        std::fill(tcs_free_.begin(), tcs_free_.end(), 0);
-    }
+    enclave_busy_until_ = 0;
 
     // Trusted-counter re-binding: the certified handover verifies under
     // the provisioned group key and never lowers a counter, so the
@@ -409,14 +400,7 @@ void TroxyReplicaHost::enqueue_reply(hybster::Reply&& reply) {
         return;
     }
     reply_buffer_.push_back(std::move(reply));
-    // The adaptive boundary follows the *served* load (replies per delay
-    // window, fed back at flush time): an idle voter flushes every reply
-    // immediately, a busy one opens up to the configured maximum.
-    std::size_t boundary = options_.voter_batch_max;
-    if (options_.adaptive_voting) {
-        boundary = voter_controller_.effective(options_.voter_batch_max);
-    }
-    if (reply_buffer_.size() >= boundary) {
+    if (reply_buffer_.size() >= options_.voter_batch_max) {
         flush_reply_buffer();
     } else {
         arm_voter_flush_timer();
@@ -448,8 +432,6 @@ void TroxyReplicaHost::flush_reply_buffer() {
     voter_timer_armed_ = false;
     std::vector<hybster::Reply> batch = std::move(reply_buffer_);
     reply_buffer_.clear();
-    voter_controller_.record_served(batch.size(), fabric_.simulator().now(),
-                                    options_.voter_batch_delay);
     enclave::CostMeter meter;
     apply(meter, troxy_->handle_replies(meter, std::move(batch)));
 }
@@ -458,7 +440,7 @@ void TroxyReplicaHost::arm_voter_flush_timer() {
     if (voter_timer_armed_) return;
     voter_timer_armed_ = true;
     const std::uint64_t generation = voter_flush_generation_;
-    fabric_.simulator().after(options_.voter_batch_delay,
+    fabric_.simulator().after(kVoterBatchDelay,
                               [this, generation]() {
                                   if (faults_.crashed) return;
                                   if (generation != voter_flush_generation_) {
@@ -471,16 +453,17 @@ void TroxyReplicaHost::arm_voter_flush_timer() {
 
 void TroxyReplicaHost::apply(enclave::CostMeter& meter,
                              TroxyActions&& actions) {
-    // Enclave concurrency: the ecall's work occupies one TCS slot for its
-    // duration; when every slot is busy the call's effects wait for a
-    // free slot. The wait delays completion but burns no CPU.
-    sim::SimTime tcs_done = 0;
-    if (!tcs_free_.empty() && meter.total() > 0) {
-        const sim::SimTime now = fabric_.simulator().now();
-        auto slot = std::min_element(tcs_free_.begin(), tcs_free_.end());
-        const sim::SimTime start = std::max(now, *slot);
-        tcs_done = start + meter.total();
-        *slot = tcs_done;
+    // All ecalls mutate shared trusted state (voter tables, cache,
+    // session keys), so their work serializes on one enclave thread — for
+    // etroxy the single TCS, for ctroxy the same library lock without
+    // SGX. A call arriving while the thread is busy has its effects wait;
+    // the wait delays completion but burns no CPU.
+    sim::SimTime enclave_done = 0;
+    if (meter.total() > 0) {
+        const sim::SimTime start =
+            std::max(fabric_.simulator().now(), enclave_busy_until_);
+        enclave_done = start + meter.total();
+        enclave_busy_until_ = enclave_done;
     }
 
     for (const std::uint64_t number : actions.completed_votes) {
@@ -517,7 +500,7 @@ void TroxyReplicaHost::apply(enclave::CostMeter& meter,
                 replica_->submit_prebatched(std::move(batch));
             });
     }
-    outbox.flush(meter, tcs_done);
+    outbox.flush(meter, enclave_done);
 
     for (const std::uint64_t number : actions.arm_vote_timers) {
         votes_in_flight_.insert(number);
@@ -547,21 +530,7 @@ void TroxyReplicaHost::route_cache_queries(
         fastread_buffer_[to].push_back(std::move(query));
         ++fastread_buffered_;
     }
-    std::size_t boundary = options_.fastread_batch_max;
-    if (options_.adaptive_fastread) {
-        boundary = fastread_controller_.effective(options_.fastread_batch_max);
-    }
-    if (fastread_buffered_ >= boundary) {
-        flush_fastread_buffer(outbox);
-    } else if (options_.fastread_latency_target &&
-               fastread_buffered_ * 100 +
-                       fastread_controller_.ewma_x100() <
-                   boundary * 100) {
-        // Latency target: the served-load EWMA (queries per delay
-        // window) predicts this burst will NOT reach the boundary within
-        // the hold, so waiting only adds latency — flush now. An idle
-        // system keeps batch-1 latency; a loaded one (EWMA ≥ boundary)
-        // still holds for full batches.
+    if (fastread_buffered_ >= options_.fastread_batch_max) {
         flush_fastread_buffer(outbox);
     } else {
         arm_fastread_flush_timer();
@@ -572,9 +541,6 @@ void TroxyReplicaHost::flush_fastread_buffer(net::Outbox& outbox) {
     if (fastread_buffered_ == 0) return;
     ++fastread_flush_generation_;  // cancel any armed delay timer
     fastread_timer_armed_ = false;
-    fastread_controller_.record_served(fastread_buffered_,
-                                       fabric_.simulator().now(),
-                                       options_.fastread_batch_delay);
     for (auto& [to, queries] : fastread_buffer_) {
         if (queries.empty()) continue;
         // A lone query keeps the single-message wire form (byte parity
@@ -596,7 +562,7 @@ void TroxyReplicaHost::arm_fastread_flush_timer() {
     fastread_timer_armed_ = true;
     const std::uint64_t generation = fastread_flush_generation_;
     fabric_.simulator().after(
-        options_.fastread_batch_delay, [this, generation]() {
+        kFastReadBatchDelay, [this, generation]() {
             if (faults_.crashed) return;
             if (generation != fastread_flush_generation_) return;
             fastread_timer_armed_ = false;
@@ -614,9 +580,6 @@ TroxyReplicaHost::Status TroxyReplicaHost::status() const {
     s.troxy = troxy_->status();
     // Add the counters retired by enclave recoveries; gauges stay live.
     s.troxy.add_counters(retired_troxy_stats_);
-    s.voter_ewma_x100 = voter_controller_.ewma_x100();
-    s.fastread_ewma_x100 = fastread_controller_.ewma_x100();
-    s.batch_ewma_x100 = replica_->batch_ewma_x100();
     s.exec = replica_->exec_stats();
     s.state = replica_->state_stats();
     s.enclave_recoveries = enclave_recoveries_;

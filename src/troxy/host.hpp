@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "enclave/attestation.hpp"
-#include "hybster/adaptive.hpp"
 #include "hybster/replica.hpp"
 #include "troxy/enclave.hpp"
 
@@ -32,19 +31,13 @@ class TroxyReplicaHost {
         sim::Duration fast_read_timeout = sim::milliseconds(50);
         /// Voter batching: maximum replies ingested by one handle_replies
         /// ecall. 1 = one ecall per reply, the pre-batching behaviour.
+        /// An incomplete batch is held for at most kVoterBatchDelay.
         std::size_t voter_batch_max = 1;
-        /// How long the host holds an incomplete reply batch before
-        /// flushing it into the enclave (bounds added vote latency).
-        sim::Duration voter_batch_delay = sim::microseconds(100);
         /// Coalesce this host's outgoing flush bursts into one Bundle
         /// frame per destination (one wire record per burst). The host's
         /// flushes take wire_zero_copy and the transport profile from the
         /// hybster::Config it runs with, like its replica's.
         bool coalesce_wire = false;
-        /// Let an EWMA of the served reply load (replies per delay window)
-        /// shrink the voter flush boundary under light load (idle keeps
-        /// per-reply latency).
-        bool adaptive_voting = false;
         /// Certify a whole executed batch's replies in one
         /// authenticate_replies ecall instead of one transition per reply
         /// (each reply a batch of one).
@@ -52,19 +45,9 @@ class TroxyReplicaHost {
         /// Fast-read batching: maximum buffered cache queries before the
         /// host ships them as CacheQueryBatch bursts (one per remote).
         /// 1 = one wire message and one remote ecall per query, the
-        /// pre-batching behaviour.
+        /// pre-batching behaviour. An incomplete burst is held for at
+        /// most kFastReadBatchDelay.
         std::size_t fastread_batch_max = 1;
-        /// How long the host holds an incomplete query burst before
-        /// flushing (bounds added fast-read latency).
-        sim::Duration fastread_batch_delay = sim::microseconds(100);
-        /// Let an EWMA of the served query load shrink the fast-read
-        /// flush boundary under light load.
-        bool adaptive_fastread = false;
-        /// Latency-target hold: keep fastread_batch_delay only while the
-        /// served-load EWMA predicts the buffered burst will fill to the
-        /// flush boundary within the delay; otherwise flush immediately,
-        /// recovering batch-1 latency at low load.
-        bool fastread_latency_target = false;
 
         // --- proactive enclave recovery (SecureSMART-style) ---
         /// Attestation context for recovery re-handshakes. Recovery is
@@ -73,16 +56,24 @@ class TroxyReplicaHost {
         /// Expected enclave measurement the re-handshake checks against.
         enclave::Measurement measurement{};
         /// Recover this host's enclave every period (0 = only explicit
-        /// recover_enclave() calls).
+        /// recover_enclave() calls). Replica i of n first recovers at
+        /// period·(1 + i/n), so a fleet staggers its enclaves instead of
+        /// recovering them in lockstep.
         sim::Duration enclave_recovery_period = 0;
-        /// Extra delay before the first periodic recovery, so a fleet can
-        /// stagger its enclaves instead of recovering them in lockstep.
-        sim::Duration enclave_recovery_offset = 0;
-        /// Teardown-to-attested window: client frames arriving while the
-        /// enclave is down are buffered and replayed once the recovered
-        /// instance passed attestation.
-        sim::Duration enclave_recovery_downtime = sim::milliseconds(2);
     };
+
+    /// How long the host holds an incomplete reply batch before flushing
+    /// it into the enclave (bounds added vote latency).
+    static constexpr sim::Duration kVoterBatchDelay = sim::microseconds(100);
+    /// How long the host holds an incomplete query burst before flushing
+    /// (bounds added fast-read latency).
+    static constexpr sim::Duration kFastReadBatchDelay =
+        sim::microseconds(100);
+    /// Teardown-to-attested window of a proactive enclave recovery: client
+    /// frames arriving while the enclave is down are buffered and replayed
+    /// once the recovered instance passed attestation.
+    static constexpr sim::Duration kEnclaveRecoveryDowntime =
+        sim::milliseconds(2);
 
     TroxyReplicaHost(net::Fabric& fabric, sim::Node& node,
                      hybster::Config config, std::uint32_t replica_id,
@@ -129,7 +120,7 @@ class TroxyReplicaHost {
     }
 
     /// Proactive enclave recovery (§SecureSMART): tears the TroxyEnclave
-    /// instance down and, after options.enclave_recovery_downtime, brings
+    /// instance down and, after kEnclaveRecoveryDowntime, brings
     /// up a FRESH instance gated by an attestation re-handshake against
     /// options.authority. All volatile enclave state is gone — secure-
     /// channel session keys rotate (clients must re-handshake; the pinned
@@ -145,14 +136,10 @@ class TroxyReplicaHost {
         return enclave_recoveries_;
     }
 
-    /// Enclave counters plus the host-side adaptive controllers' smoothed
-    /// load estimates (served items per delay window, ×100) — what the
-    /// benches record to show the controllers tracking offered load.
+    /// Enclave counters (spanning recoveries) plus the replica's and the
+    /// network's accounting — what the benches record per host.
     struct Status {
         TroxyEnclave::Status troxy;
-        std::uint64_t voter_ewma_x100 = 0;
-        std::uint64_t fastread_ewma_x100 = 0;
-        std::uint64_t batch_ewma_x100 = 0;  // leader's ordering controller
         /// Replica execution-lane occupancy / conflict-stall counters.
         hybster::Replica::ExecStats exec;
         /// Merkle-incremental state-transfer accounting (both sides).
@@ -258,7 +245,6 @@ class TroxyReplicaHost {
     std::vector<hybster::Reply> reply_buffer_;
     std::uint64_t voter_flush_generation_ = 0;
     bool voter_timer_armed_ = false;
-    hybster::AdaptiveBatchController voter_controller_;
 
     // Fast-read query batching state (cleared on crash — buffered queries
     // die with the untrusted process; the fast-read timeout at the enclave
@@ -267,11 +253,10 @@ class TroxyReplicaHost {
     std::size_t fastread_buffered_ = 0;
     std::uint64_t fastread_flush_generation_ = 0;
     bool fastread_timer_armed_ = false;
-    hybster::AdaptiveBatchController fastread_controller_;
 
-    // Enclave thread (TCS) slots: ecall work serializes once all slots
-    // are busy, modelling the enclave's fixed concurrency budget.
-    std::vector<sim::SimTime> tcs_free_;
+    // Ecall work serializes on one enclave thread (the Troxy's single
+    // TCS): the time that thread is busy until.
+    sim::SimTime enclave_busy_until_ = 0;
 };
 
 }  // namespace troxy::troxy_core

@@ -85,17 +85,17 @@ void LegacyClient::arm_watchdog() {
     const std::uint64_t generation = ++watchdog_generation_;
 
     // Capped exponential backoff with seeded jitter: the watchdog period
-    // grows with every failover that did not yield a reply.
+    // doubles with every failover that did not yield a reply, and each
+    // period is scaled by a uniform factor in [1 - jitter, 1 + jitter].
+    constexpr double kBackoffMultiplier = 2.0;
+    constexpr double kBackoffJitter = 0.2;
     double period = static_cast<double>(options_.connection_timeout);
     for (std::uint64_t i = 0; i < consecutive_failovers_; ++i) {
-        period *= options_.backoff_multiplier;
+        period *= kBackoffMultiplier;
         if (period >= static_cast<double>(options_.backoff_cap)) break;
     }
     period = std::min(period, static_cast<double>(options_.backoff_cap));
-    if (options_.backoff_jitter > 0.0) {
-        period *= 1.0 + (backoff_rng_.next_double() * 2.0 - 1.0) *
-                            options_.backoff_jitter;
-    }
+    period *= 1.0 + (backoff_rng_.next_double() * 2.0 - 1.0) * kBackoffJitter;
     const auto delay = std::max<sim::Duration>(
         static_cast<sim::Duration>(period), 1);
     current_backoff_ = delay;

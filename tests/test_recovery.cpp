@@ -546,12 +546,34 @@ TEST(Recovery, EnclaveCountersSpanRecovery) {
 // staggered, while a client keeps completing requests.
 TEST(Recovery, PeriodicScheduleRecoversWholeFleet) {
     auto params = recovery_params(905);
-    params.host.enclave_recovery_period = sim::milliseconds(900);
+    const sim::Duration period = sim::milliseconds(900);
+    params.host.enclave_recovery_period = period;
     bench::TroxyCluster cluster(params);
     auto& client = cluster.add_client(0);
 
     bool done = false;
     drive_writes(cluster, client, 60, 8, [&]() { done = true; });
+
+    // Staggered: replica i of n first tears down at period·(1 + i/n) and
+    // is back after the downtime window, one enclave at a time.
+    const auto n = static_cast<std::uint64_t>(cluster.n());
+    for (int i = 0; i < cluster.n(); ++i) {
+        const sim::SimTime due =
+            period + period * static_cast<std::uint64_t>(i) / n +
+            troxy_core::TroxyReplicaHost::kEnclaveRecoveryDowntime;
+        cluster.simulator().run_until(due - sim::microseconds(1));
+        for (int j = 0; j < cluster.n(); ++j) {
+            EXPECT_EQ(cluster.host(j).enclave_recoveries(), j < i ? 1u : 0u)
+                << "enclave " << j << " just before enclave " << i
+                << " is due";
+        }
+        cluster.simulator().run_until(due + sim::microseconds(1));
+        for (int j = 0; j < cluster.n(); ++j) {
+            EXPECT_EQ(cluster.host(j).enclave_recoveries(), j <= i ? 1u : 0u)
+                << "enclave " << j << " just after enclave " << i
+                << " is due";
+        }
+    }
     cluster.simulator().run_until(sim::seconds(12));
 
     EXPECT_TRUE(done);

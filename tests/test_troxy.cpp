@@ -341,11 +341,10 @@ namespace {
 enclave::Certificate certify_one(TroxyEnclave& troxy,
                                  enclave::CostMeter& meter,
                                  const hybster::Request& request,
-                                 const hybster::Reply& reply) {
+                                 hybster::Reply reply) {
     const TroxyEnclave::ReplyAuth item{&request, &reply};
-    const auto certs = troxy.authenticate_replies(meter, std::span(&item, 1));
-    EXPECT_EQ(certs.size(), 1u);
-    return certs.front();
+    troxy.authenticate_replies(meter, std::span(&item, 1));
+    return reply.cert;
 }
 
 /// Extracts the client-frame payload of one queued send.
@@ -860,10 +859,8 @@ TEST(TroxyEnclave, AuthenticateRepliesOneTransitionSameCertificates) {
     }
 
     const std::uint64_t before = rig.contact->gate().transitions();
-    const auto certs =
-        rig.contact->authenticate_replies(rig.meter, batch);
+    rig.contact->authenticate_replies(rig.meter, batch);
     EXPECT_EQ(rig.contact->gate().transitions(), before + 1);
-    ASSERT_EQ(certs.size(), 4u);
     EXPECT_EQ(rig.contact->status().reply_auth_batches, 1u);
     EXPECT_EQ(rig.contact->status().batch_authenticated_replies, 4u);
     // The batch certified the ordered reads, so the cache is warm now.
@@ -872,9 +869,9 @@ TEST(TroxyEnclave, AuthenticateRepliesOneTransitionSameCertificates) {
     // Every certificate in the batch verifies exactly like one produced
     // by the per-reply ecall (the running MAC changes cost, not bytes).
     enclave::CostedCrypto crypto(rig.profile, rig.meter);
-    for (std::size_t i = 0; i < certs.size(); ++i) {
+    for (const hybster::Reply& reply : replies) {
         EXPECT_TRUE(rig.remote_trinx->verify_independent(
-            crypto, 0, replies[i].certified_view(), certs[i]));
+            crypto, 0, reply.certified_view(), reply.cert));
     }
 }
 
@@ -1151,16 +1148,13 @@ TEST(TroxyEnclave, WriteSetGatesAndInvalidatesScanPartitions) {
     EXPECT_EQ(after.invalidations_saved, before.invalidations_saved);
 }
 
-TEST(TroxyEnclave, LatencyTargetFlushesLoneFastReadImmediately) {
-    // Under batched fast reads a lone query normally waits out the flush
-    // delay; with the latency target on, a cold served-load EWMA predicts
-    // the batch will never fill and the host flushes immediately,
-    // recovering batch-1 latency at low load.
-    auto fast_read_latency = [](bool latency_target) {
+TEST(TroxyEnclave, BatchedFastReadHoldsLoneQueryForTheFlushDelay) {
+    // Under batched fast reads a lone query cannot fill the burst, so the
+    // host holds it for the flush delay before it goes out; unbatched, it
+    // goes out at once.
+    auto fast_read_latency = [](std::size_t fastread_batch_max) {
         bench::TroxyCluster::Params params = cluster_params(44);
-        params.host.fastread_batch_max = 8;
-        params.host.fastread_batch_delay = sim::milliseconds(5);
-        params.host.fastread_latency_target = latency_target;
+        params.host.fastread_batch_max = fastread_batch_max;
         bench::TroxyCluster cluster(std::move(params));
         auto& client = cluster.add_client(0);
         sim::SimTime start = 0;
@@ -1184,10 +1178,10 @@ TEST(TroxyEnclave, LatencyTargetFlushesLoneFastReadImmediately) {
         EXPECT_GT(done, start);
         return done - start;
     };
-    const sim::Duration held = fast_read_latency(false);
-    const sim::Duration immediate = fast_read_latency(true);
-    EXPECT_GE(held, sim::milliseconds(5));
-    EXPECT_LT(immediate, sim::milliseconds(2));
+    const sim::Duration held = fast_read_latency(8);
+    const sim::Duration unbatched = fast_read_latency(1);
+    EXPECT_GE(held, TroxyReplicaHost::kFastReadBatchDelay);
+    EXPECT_GT(held, unbatched);
 }
 
 }  // namespace
